@@ -24,19 +24,20 @@ vet:
 lint:
 	go run ./cmd/dmtvet ./...
 
-# Fuzz the wire decoders: first replay the committed seed corpus
-# (deterministic, what CI runs on every push), then a short live fuzzing
-# smoke against ReadModelSet. Grow the corpus with -fuzztime as needed;
-# new crashers land under internal/wire/testdata/fuzz/ — commit them.
+# Fuzz the decoders: first replay the committed seed corpora of the wire
+# and realnet decoders (deterministic, what CI runs on every push), then a
+# short live fuzzing smoke against ReadModelSet. Grow a corpus with
+# -fuzztime as needed; new crashers land under the package's
+# testdata/fuzz/ — commit them.
 fuzz:
-	go test ./internal/wire -run 'Fuzz' -count=1
+	go test ./internal/wire ./internal/realnet -run 'Fuzz' -count=1
 	go test ./internal/wire -run '^$$' -fuzz 'FuzzReadModelSet' -fuzztime 10s
 
 check: build vet lint race
 
-# The benchmark artifacts the CI bench job uploads.
+# The repository's benchmark (BENCHMARK.json, perfbench/README.md): one
+# run of each workload; the last stdout line of each is its result.
 bench:
-	go run ./cmd/p2pserve -loadgen -peers 4 -shards 2 -clients 1,8,64 -requests 256 -repeat 0.9 -cache 1024 -json BENCH_serving.json
-	go run ./cmd/p2pserve -loadgen-cluster -protocol local -peers 4 -shards 2 -cluster-nodes 3 -requests 256 -json BENCH_cluster.json
-	go run ./cmd/simbench -peers 512 -shards 1,2,4,8 -reps 3 -json BENCH_simnet.json
-	go run ./cmd/tagbench -queries 400 -json BENCH_tagging.json
+	bash perfbench/run.sh --workload interactive-cempar --seed 1 --seconds 25 --trace 0
+	bash perfbench/run.sh --workload bulk-local --seed 1 --seconds 25 --trace 0
+	bash perfbench/run.sh --workload publish-under-load --seed 1 --seconds 25 --trace 0

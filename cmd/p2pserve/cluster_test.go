@@ -6,7 +6,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -328,58 +327,5 @@ func TestClusterChaos(t *testing.T) {
 	}
 	if framesOut == 0 {
 		t.Error("publisher transport counters show no frames sent")
-	}
-}
-
-// TestClusterLoadgenWritesJSON runs the in-process cluster load generator
-// end to end and checks the artifact: both phases report full per-node
-// throughput with the accounting identity intact, and the cluster
-// converged on a byte-identical generation.
-func TestClusterLoadgenWritesJSON(t *testing.T) {
-	o := clusterOptions()
-	o.loadgenCluster = true
-	o.clusterNodes = 3
-	o.requests = 64
-	o.jsonPath = t.TempDir() + "/bench.json"
-	build, queries, trainTexts, err := makeBuild(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := runClusterLoadgen(o, build, queries, trainTexts); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(o.jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var payload struct {
-		Benchmark     string         `json:"benchmark"`
-		Nodes         int            `json:"nodes"`
-		ConvergenceMS float64        `json:"convergence_ms"`
-		Identical     bool           `json:"identical"`
-		FramesOut     int64          `json:"frames_out"`
-		Phases        []clusterPhase `json:"phases"`
-	}
-	if err := json.Unmarshal(raw, &payload); err != nil {
-		t.Fatal(err)
-	}
-	if payload.Benchmark != "p2pserve-cluster" || payload.Nodes != 3 || !payload.Identical {
-		t.Fatalf("payload = %+v", payload)
-	}
-	if payload.ConvergenceMS <= 0 || payload.FramesOut == 0 {
-		t.Errorf("convergence %.3fms over %d frames; want both positive", payload.ConvergenceMS, payload.FramesOut)
-	}
-	if len(payload.Phases) != 2 {
-		t.Fatalf("phases = %+v", payload.Phases)
-	}
-	for _, ph := range payload.Phases {
-		if len(ph.Nodes) != 3 {
-			t.Fatalf("phase %s ran on %d nodes", ph.Phase, len(ph.Nodes))
-		}
-		for _, run := range ph.Nodes {
-			if run.Requests != 64 || run.Errors != 0 || !run.IdentityOK {
-				t.Errorf("phase %s node %d: %+v", ph.Phase, run.Node, run)
-			}
-		}
 	}
 }

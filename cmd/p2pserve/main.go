@@ -41,16 +41,9 @@
 // requests are never silently abandoned (a regression in the first version
 // of this command leaked the pool when Shutdown timed out).
 //
-// The built-in load generator benchmarks the same pool in-process without
-// HTTP overhead:
-//
-//	p2pserve -loadgen -clients 1,8,64 -requests 256 -repeat 0.9 -cache 1024 -json BENCH_serving.json
-//
-// runs the request mix at each concurrency level twice — cache off, then
-// cache on — and reports throughput, the observed batching, cache hits and
-// the cache-on/cache-off speedup, optionally as a JSON artifact. -repeat
-// sets the fraction of requests drawn from a small hot set of queries, so
-// the cache's effect on repeated-query traffic is measured explicitly.
+// Performance is measured from outside the process, against the same
+// binary users run: perfbench drives it over HTTP (see perfbench/README.md
+// and BENCHMARK.json at the root of the repository).
 package main
 
 import (
@@ -63,7 +56,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -93,14 +85,6 @@ type options struct {
 	mesh     string
 	meshJoin string
 	maxTags  int
-
-	loadgen        bool
-	loadgenCluster bool
-	clusterNodes   int
-	clients        string
-	requests       int
-	repeat         float64
-	jsonPath       string
 }
 
 func main() {
@@ -124,13 +108,6 @@ func main() {
 	flag.StringVar(&o.mesh, "mesh", "", "realnet mesh listen address; empty = standalone (no gossip)")
 	flag.StringVar(&o.meshJoin, "mesh-join", "", "comma-separated mesh addresses of existing cluster nodes")
 	flag.IntVar(&o.maxTags, "max-tags", 4, "tag cap for gossiped-generation answers (0 = unlimited)")
-	flag.BoolVar(&o.loadgen, "loadgen", false, "run the in-process load generator instead of serving HTTP")
-	flag.BoolVar(&o.loadgenCluster, "loadgen-cluster", false, "run the in-process cluster load generator (gossip + chaos) instead of serving HTTP")
-	flag.IntVar(&o.clusterNodes, "cluster-nodes", 3, "cluster loadgen: number of in-process cluster nodes")
-	flag.StringVar(&o.clients, "clients", "1,8,64", "loadgen: comma-separated concurrency levels")
-	flag.IntVar(&o.requests, "requests", 256, "loadgen: requests per concurrency level")
-	flag.Float64Var(&o.repeat, "repeat", 0.9, "loadgen: fraction of requests drawn from a hot query set")
-	flag.StringVar(&o.jsonPath, "json", "", "loadgen: write results to this JSON file")
 	flag.Parse()
 
 	if err := run(o); err != nil {
@@ -139,22 +116,10 @@ func main() {
 }
 
 func run(o options) error {
-	if o.repeat < 0 || o.repeat > 1 {
-		return fmt.Errorf("-repeat %v outside [0,1]", o.repeat)
-	}
-	build, queries, trainTexts, err := makeBuild(o)
+	build, _, trainTexts, err := makeBuild(o)
 	if err != nil {
 		return err
 	}
-	if o.loadgenCluster {
-		return runClusterLoadgen(o, build, queries, trainTexts)
-	}
-	if o.loadgen {
-		return runLoadgen(o, build, queries)
-	}
-	// HTTP mode never replays the test split; drop it rather than pin the
-	// whole corpus in this frame for the process lifetime.
-	queries = nil
 	log.Printf("training %d shard(s): %s, %d peers each ...", o.shards, o.protocol, o.peers)
 	start := time.Now()
 	pool, err := newPool(o, build)
@@ -175,10 +140,11 @@ func run(o options) error {
 
 // makeBuild generates the synthetic corpus and returns the deterministic
 // per-shard tagger builder over its training split, the test split's texts
-// for load generation, and the training split as labeled texts — the input
-// cluster nodes train gossiped model generations from. Training from the
-// same (corpus, seed) on any node yields byte-identical generations, which
-// is what lets the cluster verify answers against a serial reference.
+// (the queries tests replay), and the training split as labeled texts —
+// the input cluster nodes train gossiped model generations from. Training
+// from the same (corpus, seed) on any node yields byte-identical
+// generations, which is what lets the cluster verify answers against a
+// serial reference.
 func makeBuild(o options) (func(int) (*doctagger.Tagger, error), []string, []realnet.TaggedText, error) {
 	docs, _, err := doctagger.GenerateCorpus(doctagger.CorpusConfig{
 		Users:          o.peers,
@@ -225,24 +191,16 @@ func makeBuild(o options) (func(int) (*doctagger.Tagger, error), []string, []rea
 	return build, queries, trainTexts, nil
 }
 
-// serverConfig maps the flags onto a pool configuration. cacheSize is
-// explicit because loadgen measures the same flag set with the cache off
-// and on; every other knob must stay identical between those runs (and
-// between loadgen and HTTP mode), which is why both paths come here.
-func serverConfig(o options, cacheSize int) doctagger.ServerConfig {
-	return doctagger.ServerConfig{
+// newPool trains o.shards identical tagger swarms and fronts them with the
+// micro-batching dispatcher, caching o.cache answers (0 = off).
+func newPool(o options, build func(int) (*doctagger.Tagger, error)) (*doctagger.Server, error) {
+	return doctagger.NewReplicatedServer(o.shards, doctagger.ServerConfig{
 		MaxBatch:  o.maxBatch,
 		MaxDelay:  o.maxDelay,
 		MaxQueue:  o.maxQueue,
 		FailFast:  o.failFast,
-		CacheSize: cacheSize,
-	}
-}
-
-// newPool trains o.shards identical tagger swarms and fronts them with the
-// micro-batching dispatcher, caching o.cache answers (0 = off).
-func newPool(o options, build func(int) (*doctagger.Tagger, error)) (*doctagger.Server, error) {
-	return doctagger.NewReplicatedServer(o.shards, serverConfig(o, o.cache), build)
+		CacheSize: o.cache,
+	}, build)
 }
 
 // maxBatchRequestDocs caps one /v1/tag/batch request; larger uploads
@@ -426,6 +384,30 @@ func httpError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// HTTP edge timeouts, so a slow or stalled client cannot hold a connection
+// open forever. Each sits far above the slowest legitimate request (on a
+// 2-core machine with default flags: /v1/refresh 0.13s, /v1/publish 0.05s,
+// a 12 MB /v1/tag/batch 0.6s; 16 MiB uploads in 2 min at ~1 Mbit/s), and
+// WriteTimeout also bounds the handler's run time.
+const (
+	httpReadHeaderTimeout = 10 * time.Second
+	httpReadTimeout       = 2 * time.Minute
+	httpWriteTimeout      = 5 * time.Minute
+	httpIdleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the API server with the edge timeouts set.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: httpReadHeaderTimeout,
+		ReadTimeout:       httpReadTimeout,
+		WriteTimeout:      httpWriteTimeout,
+		IdleTimeout:       httpIdleTimeout,
+	}
+}
+
 // serveHTTP runs the API until SIGINT/SIGTERM, then drains: /readyz goes
 // unready first, the listener shuts down second, the pool third, so load
 // balancers stop routing and every accepted request is answered. The pool
@@ -435,7 +417,7 @@ func httpError(w http.ResponseWriter, code int, err error) {
 func serveHTTP(a *app, o options) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	srv := &http.Server{Addr: o.addr, Handler: a.mux()}
+	srv := newHTTPServer(o.addr, a.mux())
 	errc := make(chan error, 1)
 	go func() {
 		log.Printf("listening on %s", o.addr)
@@ -470,186 +452,4 @@ func serveHTTP(a *app, o options) error {
 	log.Printf("drained: served %d requests in %d batches (mean batch %.2f, %d cache hits, %d coalesced)",
 		st.Served, st.Batches, st.MeanBatchSize, st.CacheHits, st.Coalesced)
 	return <-errc
-}
-
-// loadgenRun is one (concurrency level, cache mode) result.
-type loadgenRun struct {
-	Clients       int     `json:"clients"`
-	CacheSize     int     `json:"cache_size"`
-	Requests      int64   `json:"requests"`
-	Errors        int64   `json:"errors"`
-	Seconds       float64 `json:"seconds"`
-	RequestsPerS  float64 `json:"rps"`
-	Batches       int64   `json:"batches"`
-	MeanBatchSize float64 `json:"mean_batch_size"`
-	MeanWaitUS    float64 `json:"mean_queue_wait_us"`
-	CacheHits     int64   `json:"cache_hits"`
-	Coalesced     int64   `json:"coalesced"`
-}
-
-// speedup is the cache-on/cache-off throughput ratio at one concurrency
-// level — the headline number of BENCH_serving.json.
-type speedup struct {
-	Clients int     `json:"clients"`
-	Speedup float64 `json:"cache_speedup"`
-}
-
-// queryMix deterministically picks each client's request sequence: with
-// probability repeat a query from the small hot set (repeated traffic the
-// cache can absorb), otherwise a rotating pick from the full query list.
-// The same (client, request) always maps to the same text, so cache-on and
-// cache-off runs serve an identical workload.
-type queryMix struct {
-	queries []string
-	hot     []string
-	permill int
-	clients int
-}
-
-func newQueryMix(queries []string, repeat float64, clients int) queryMix {
-	hot := queries[:min(8, len(queries))]
-	return queryMix{queries: queries, hot: hot, permill: int(repeat * 1000), clients: clients}
-}
-
-func (m queryMix) pick(c, r int) string {
-	// Per-(client, request) LCG draw: cheap, seedless, deterministic.
-	x := uint32(c)*2654435761 + uint32(r)*40503 + 12345
-	x = x*1664525 + 1013904223
-	if int(x>>16)%1000 < m.permill {
-		// Index with unsigned arithmetic: int(x) would go negative on
-		// 32-bit platforms for half of all draws.
-		return m.hot[x%uint32(len(m.hot))]
-	}
-	return m.queries[(c+r*m.clients)%len(m.queries)]
-}
-
-// runLoadgen fires o.requests tagging requests at a pool from each
-// configured number of concurrent clients — once with the result cache off
-// and, when -cache > 0, once more with it on — reporting throughput,
-// batching and cache hits (as deltas, since the pool's counters are
-// cumulative). The shard taggers are trained once and reused across both
-// pools; a drained pool's taggers are safe to re-front.
-func runLoadgen(o options, build func(int) (*doctagger.Tagger, error), queries []string) error {
-	if len(queries) == 0 {
-		return errors.New("loadgen: no test queries")
-	}
-	var levels []int
-	for _, f := range strings.Split(o.clients, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 1 {
-			return fmt.Errorf("loadgen: bad -clients entry %q", f)
-		}
-		levels = append(levels, n)
-	}
-	log.Printf("training %d shard(s): %s, %d peers each ...", o.shards, o.protocol, o.peers)
-	taggers := make([]*doctagger.Tagger, o.shards)
-	for i := range taggers {
-		tg, err := build(i)
-		if err != nil {
-			return fmt.Errorf("loadgen: building shard %d: %w", i, err)
-		}
-		taggers[i] = tg
-	}
-	cacheSizes := []int{0}
-	if o.cache > 0 {
-		cacheSizes = append(cacheSizes, o.cache)
-	}
-	var runs []loadgenRun
-	rps := make(map[[2]int]float64) // (clients, cacheSize) -> rps
-	for _, cacheSize := range cacheSizes {
-		pool, err := doctagger.NewServer(serverConfig(o, cacheSize), taggers...)
-		if err != nil {
-			return err
-		}
-		for _, clients := range levels {
-			run := runLevel(pool, newQueryMix(queries, o.repeat, clients), clients, o.requests)
-			run.CacheSize = cacheSize
-			runs = append(runs, run)
-			rps[[2]int{clients, cacheSize}] = run.RequestsPerS
-			log.Printf("cache=%-5d clients=%-3d  %8.0f req/s  mean batch %5.2f  mean wait %6.0fµs  hits %d  errors %d",
-				cacheSize, clients, run.RequestsPerS, run.MeanBatchSize, run.MeanWaitUS, run.CacheHits, run.Errors)
-		}
-		pool.Close()
-	}
-	var speedups []speedup
-	if o.cache > 0 {
-		for _, clients := range levels {
-			off, on := rps[[2]int{clients, 0}], rps[[2]int{clients, o.cache}]
-			if off > 0 {
-				s := speedup{Clients: clients, Speedup: on / off}
-				speedups = append(speedups, s)
-				log.Printf("clients=%-3d  cache speedup %.1fx", clients, s.Speedup)
-			}
-		}
-	}
-	if o.jsonPath != "" {
-		payload := map[string]any{
-			"benchmark": "p2pserve-loadgen",
-			"protocol":  o.protocol,
-			"peers":     o.peers,
-			"shards":    o.shards,
-			"max_batch": o.maxBatch,
-			"cache":     o.cache,
-			"repeat":    o.repeat,
-			"runs":      runs,
-			"speedups":  speedups,
-		}
-		data, err := json.MarshalIndent(payload, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(o.jsonPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		log.Printf("wrote %s", o.jsonPath)
-	}
-	return nil
-}
-
-// runLevel drives one concurrency level against the pool and reports the
-// deltas of its cumulative counters.
-func runLevel(pool *doctagger.Server, mix queryMix, clients, requests int) loadgenRun {
-	before := pool.Stats()
-	start := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		share := requests / clients
-		if c < requests%clients {
-			share++
-		}
-		wg.Add(1)
-		go func(c, share int) {
-			defer wg.Done()
-			for r := 0; r < share; r++ {
-				// Ignore per-request errors here; the stats deltas
-				// report them.
-				_, _ = pool.Tag(context.Background(), mix.pick(c, r))
-			}
-		}(c, share)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	after := pool.Stats()
-	run := loadgenRun{
-		Clients: clients,
-		// The Issued delta counts every answer row however produced
-		// (served, cache hit, coalesced, deduped) — the same accounting
-		// identity cluster clients verify per node.
-		Requests:  after.Issued - before.Issued,
-		Errors:    after.Errors - before.Errors,
-		Seconds:   elapsed.Seconds(),
-		Batches:   after.Batches - before.Batches,
-		CacheHits: after.CacheHits - before.CacheHits,
-		Coalesced: after.Coalesced - before.Coalesced,
-	}
-	if run.Seconds > 0 {
-		run.RequestsPerS = float64(run.Requests) / run.Seconds
-	}
-	if run.Batches > 0 {
-		run.MeanBatchSize = float64(after.BatchedDocs-before.BatchedDocs) / float64(run.Batches)
-	}
-	if served := after.Served - before.Served; served > 0 {
-		run.MeanWaitUS = float64((after.QueueWaitTotal - before.QueueWaitTotal).Microseconds()) / float64(served)
-	}
-	return run
 }

@@ -80,9 +80,9 @@
 // via runner.DeriveSeed(seed, nodeID). The knob threads through every
 // layer: doctagger.Config.Shards, p2pdmt.Config.Shards,
 // experiments.Scale.Shards, "cmd/experiments -shards" and
-// "cmd/p2pdmt -shards"; cmd/simbench measures the wall-clock scaling and
-// verifies the checksums agree (BenchmarkSimnetShards is the in-tree
-// equivalent).
+// "cmd/p2pdmt -shards"; BenchmarkSimnetShards measures the wall-clock
+// scaling and the TestShardCountInvariance tests verify the checksums
+// agree.
 //
 // # Serving
 //
@@ -157,14 +157,16 @@
 // the cluster chaos test (cmd/p2pserve/cluster_test.go) pins the
 // acceptance story — a node killed and restarted and a partition healed
 // while every query keeps answering byte-identically to a serial
-// reference with zero dropped requests. "-loadgen-cluster" benchmarks the
-// composition in-process and writes BENCH_cluster.json.
+// reference with zero dropped requests. perfbench's publish-under-load
+// workload measures the composition over real processes (BENCHMARK.json,
+// perfbench/README.md).
 //
 // # Adversarial resilience
 //
 // The mesh assumes Byzantine peers, not just crashed ones. Every inbound
 // generation runs a validation pipeline before it touches any state: a
-// wire-size budget, a content digest carried in the frame (wire.Checksum
+// wire-size budget checked against the frame's length prefix before any
+// payload is allocated, a content digest carried in the frame (wire.Checksum
 // over the encoded set — corrupt or tampered bytes fail before the
 // decoder runs), hardened wire decoders whose allocations grow
 // incrementally against claimed lengths (fuzzed, with a committed seed
@@ -217,8 +219,9 @@
 // implementation it replaced — reference copies of the seed tokenizer,
 // vectorizer and kernel evaluation live in the tests and must agree on
 // exact float64 bit patterns — so the fast path changes latency, never
-// answers. cmd/tagbench measures the trajectory (docs/sec, p50/p99,
-// allocs/op, fused-vs-per-tag scoring) and writes BENCH_tagging.json.
+// answers. The go test -bench micro-benchmarks (BenchmarkAutoTag,
+// BenchmarkVectorize, BenchmarkFusedScoring) time each stage, and
+// perfbench (BENCHMARK.json) times the whole path end to end.
 //
 // # Streaming execution
 //

@@ -82,17 +82,14 @@ func (n *Node) CurrentGeneration() (Generation, bool) {
 }
 
 // onGeneration handles one gossiped generation frame through the full
-// Byzantine admission pipeline: size budget, decode + content digest,
-// origin validity, dedup by (Seq, Origin) — a stale echo is normal gossip
-// traffic, never a trust event — then trust admission, structural
-// validation, and the holdout probe. Only an admitted generation touches
-// the peer tables, gets relayed, or reaches the application callback; a
-// rejected one demotes and quarantines its origin.
+// Byzantine admission pipeline: size budget (enforced by readFrame before
+// the payload is read), decode + content digest, origin validity, dedup by
+// (Seq, Origin) — a stale echo is normal gossip traffic, never a trust
+// event — then trust admission, structural validation, and the holdout
+// probe. Only an admitted generation touches the peer tables, gets
+// relayed, or reaches the application callback; a rejected one demotes and
+// quarantines its origin.
 func (n *Node) onGeneration(payload []byte) {
-	if len(payload) > n.cfg.MaxGenBytes {
-		n.tr.noteCorrupt()
-		return
-	}
 	g, err := decodeGeneration(payload)
 	if err != nil {
 		n.tr.noteCorrupt()

@@ -76,12 +76,12 @@ func TestCorruptFrames(t *testing.T) {
 	}
 	defer nd.Close()
 
-	// Oversized: a frame claiming maxFrame+1 bytes must be refused before
+	// Oversized: a frame claiming MaxGenBytes+1 bytes must be refused before
 	// any allocation.
 	over := rawDial(t, nd)
 	var hdr [5]byte
 	hdr[0] = frameModels
-	binary.LittleEndian.PutUint32(hdr[1:], maxFrame+1)
+	binary.LittleEndian.PutUint32(hdr[1:], uint32(nd.cfg.MaxGenBytes+1))
 	if _, err := over.Write(hdr[:]); err != nil {
 		t.Fatal(err)
 	}
@@ -129,6 +129,28 @@ func TestCorruptFrames(t *testing.T) {
 	if nd.ModelsKnown() != 0 {
 		t.Errorf("garbage model frame entered the table")
 	}
+}
+
+// TestFrameBudgetBeforePayload pins that the MaxGenBytes budget applies to
+// the length prefix: a header claiming more than the budget is refused at
+// once, not after the node has allocated the buffer and waited out the
+// FrameTimeout for a payload that never comes.
+func TestFrameBudgetBeforePayload(t *testing.T) {
+	nd, err := Start(Config{Seed: 1, Dial: failDial, MaxAttempts: 1, MaxGenBytes: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nd.Close()
+	conn := rawDial(t, nd)
+	var hdr [5]byte
+	hdr[0] = frameGen
+	binary.LittleEndian.PutUint32(hdr[1:], 2<<10)
+	if _, err := conn.Write(hdr[:]); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "over-budget header counted", func() bool {
+		return nd.Transport().CorruptFrames >= 1
+	})
 }
 
 // TestSpoofedSenderRejected covers the sender-validation bugfix: model

@@ -62,9 +62,6 @@ const (
 	frameGen    = 3 // payload: a gossiped model generation (seq, origin, set)
 )
 
-// maxFrame bounds a frame payload (corrupt peers must not OOM us).
-const maxFrame = 64 << 20
-
 // DialFunc dials a peer; tests inject failing dialers to simulate
 // partitions and unreachable peers without real network faults.
 type DialFunc func(addr string, timeout time.Duration) (net.Conn, error)
@@ -116,7 +113,8 @@ type Config struct {
 
 	// MaxSetTags and MaxModelDim bound the structure of an inbound model
 	// set (tag count and per-model dense dimension); MaxGenBytes bounds
-	// the encoded size of an inbound generation frame. Together with the
+	// the payload of every inbound frame, checked against the length
+	// prefix before any payload buffer is allocated. Together with the
 	// finite-weight scan they are the structural half of the Byzantine
 	// admission pipeline. Defaults 4096 tags, 1<<22 dims, 32 MiB.
 	MaxSetTags  int
@@ -730,7 +728,7 @@ func (n *Node) handleConn(conn net.Conn) {
 		// (Regression: a single deadline set at accept killed an actively
 		// gossiping connection 30s in, mid-frame-stream.)
 		_ = conn.SetReadDeadline(time.Now().Add(n.cfg.FrameTimeout))
-		typ, payload, err := readFrame(conn)
+		typ, payload, err := readFrame(conn, n.cfg.MaxGenBytes)
 		if err != nil {
 			if err != io.EOF {
 				n.tr.noteCorrupt()
@@ -922,13 +920,16 @@ func writeFrame(w io.Writer, typ byte, payload []byte) error {
 	return err
 }
 
-func readFrame(r io.Reader) (byte, []byte, error) {
+// readFrame reads one frame whose payload may be at most budget bytes. The
+// budget is checked against the length prefix, so a peer that claims more
+// is refused before the payload buffer is allocated or read.
+func readFrame(r io.Reader, budget int) (byte, []byte, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
 	size := binary.LittleEndian.Uint32(hdr[1:])
-	if size > maxFrame {
+	if int64(size) > int64(budget) {
 		return 0, nil, fmt.Errorf("realnet: frame of %d bytes exceeds limit", size)
 	}
 	payload := make([]byte, size)

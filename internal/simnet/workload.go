@@ -8,9 +8,9 @@ import (
 // WorkloadConfig parameterizes a synthetic message-heavy traffic pattern:
 // Tokens tokens hop TTL times between random nodes, and every delivery
 // burns Work rounds of hash mixing — a stand-in for the per-message CPU a
-// real protocol handler spends. The shard-scaling benchmark, the
-// shard-invariance tests and cmd/simbench all drive simulations through
-// it.
+// real protocol handler spends. The shard-scaling benchmark
+// (BenchmarkSimnetShards) and the shard-invariance tests both drive
+// simulations through it.
 type WorkloadConfig struct {
 	// Nodes is the network size; default 64.
 	Nodes int

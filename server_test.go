@@ -128,6 +128,9 @@ func TestServerMatchesSerialUnderLoad(t *testing.T) {
 	if st.Coalesced == 0 {
 		t.Errorf("no coalesced requests with %d clients cycling %d texts", clients, len(queries))
 	}
+	if st.CacheHits != 0 {
+		t.Errorf("cache hits = %d with the cache off", st.CacheHits)
+	}
 	if st.MeanBatchSize <= 1 {
 		t.Errorf("mean batch size %.2f, want > 1 under %d concurrent clients", st.MeanBatchSize, clients)
 	}
