@@ -30,7 +30,7 @@
 // deterministic parallel execution subsystem: independent jobs fan out
 // over a GOMAXPROCS-sized worker pool and results are collected in
 // submission order, so parallel output is byte-identical to a serial run.
-// Three layers use it:
+// Two layers use it:
 //
 //   - Experiment sweeps (internal/experiments): every (experiment, config)
 //     cell is an independent job building its own simulated network from
@@ -46,16 +46,12 @@
 //     concurrently; only the protocol message exchange stays on the
 //     simulator's virtual clock. CEMPaR's per-tag regional cascades and
 //     the centralized baseline's per-tag global models parallelize the
-//     same way. See p2pdmt.Config.Parallel.
-//   - Batch tagging (AutoTagBatch): term extraction fans out per document
-//     while lexicon id assignment stays serial in input order, and all
-//     swarm queries are issued before the network runs once.
+//     same way. See p2pdmt.Config.Parallel and Config.Parallel.
 //
 // The determinism contract — parallel execution is bit-identical to
-// serial — is enforced by tests at all three layers (see
-// internal/experiments/determinism_test.go, TestRunParallelMatchesSerial,
-// TestAutoTagBatchMatchesSerial) and the suite is race-clean under
-// "go test -race ./...".
+// serial — is enforced by tests at both layers (see
+// internal/experiments/determinism_test.go, TestRunParallelMatchesSerial)
+// and the suite is race-clean under "go test -race ./...".
 //
 // # Parallel simulation
 //
@@ -225,14 +221,20 @@
 //
 // # Streaming execution
 //
-// The local score path chains those stages with no materialized
-// intermediates: Preprocessor.VectorizeInto hands the pooled, sorted,
-// weighted entries directly to FusedLinear.ScoreEntriesInto, and
-// protocol.SelectTagsInto thresholds out of reused scratch, so a whole
-// AutoTag runs in at most two allocations (the returned tags) and
-// AutoTagBatch/serving.TagBatch stream documents with O(1) intermediate
-// state. Three contracts make it safe:
+// Every protocol has one query entry point, protocol.Classifier.Predict,
+// and the Tagger reaches it by one route: Preprocessor.VectorizeInto hands
+// the pooled, sorted, weighted entries to a vector.Borrow view, Predict
+// scores it (the local protocols via FusedLinear.ScoreInto into reused
+// scratch), and protocol.SelectTagsInto thresholds out of reused scratch,
+// so a whole local AutoTag runs in at most two allocations (the returned
+// tags). AutoTagBatch issues every row the same way and runs the network
+// once. These contracts make it safe:
 //
+//   - Borrow contract: Predict's query is valid only until Predict
+//     returns, so a protocol that answers after the network runs clones
+//     it (CEMPaR always, Centralized off the coordinator); the scores
+//     handed to the callback may be reused scratch, so the callback
+//     consumes or copies them.
 //   - Layout selection: NewFusedLinear keeps banks under 25% fill in CSR;
 //     denser banks with at least four tags use the blocked layout (rows
 //     zero-padded to multiples of eight, scored in register-resident
@@ -242,9 +244,9 @@
 //     entries in ascending feature-id order and padding lanes only add
 //     v*0, so all three layouts reproduce per-tag Decision exactly.
 //   - Scratch lifetime: the entries VectorizeInto passes to its visitor
-//     (and the scores a protocol.StreamScorer hands its callback) live in
-//     pooled scratch, valid only until the visit returns — consume or
-//     copy, never retain. dmtvet/scratchescape enforces this mechanically.
+//     live in pooled scratch, valid only until the visit returns — consume
+//     or copy, never retain. dmtvet/scratchescape enforces this
+//     mechanically.
 //
 // # Static analysis / invariants
 //

@@ -65,9 +65,9 @@ type Config struct {
 	TopK int
 	// Seed makes the swarm deterministic.
 	Seed int64
-	// Parallel is the worker count for the swarm's CPU-bound phases —
-	// per-peer training during Train and batch preprocessing in
-	// AutoTagBatch. 0 (the default) uses every core; 1 runs serially.
+	// Parallel is the worker count for per-peer training during Train,
+	// the swarm's CPU-bound phase. 0 (the default) uses every core; 1 runs
+	// serially.
 	// Results are bit-identical at any setting; set 1 when the caller
 	// already owns the cores (e.g. experiment sweeps running many swarms
 	// concurrently).
@@ -144,19 +144,18 @@ type Tagger struct {
 	staged  map[simnet.NodeID][]protocol.Doc
 	setDocs func(simnet.NodeID, []protocol.Doc)
 
-	// Streaming fast path, wired by New when the protocol answers local
-	// queries synchronously (protocol.StreamScorer with StreamsFrom(self)):
-	// documents flow from the pooled preprocessing workspace straight into
-	// fused scoring with no materialized *vector.Sparse. streamVisit and
-	// its callback are built once — per-query closures would escape to the
-	// heap on every call — and deposit each answer into the reused
-	// streamScores/streamOK pair, which the single-goroutine contract
-	// makes safe. selScratch is SelectTagsInto's reused sort buffer.
-	stream       protocol.StreamScorer
-	streamVisit  func([]vector.Entry)
-	streamScores []metrics.ScoredTag
-	streamOK     bool
-	selScratch   []metrics.ScoredTag
+	// Query scratch, reused under the single-goroutine contract. query is
+	// the vector.Borrow view of the pooled preprocessing entries that
+	// Predict receives; it lives here rather than on the stack because a
+	// pointer passed through the Classifier interface escapes. keep is
+	// predictScores' callback, built once (a per-query closure would
+	// escape too), and copies each answer into scores/answered.
+	// selScratch is SelectTagsInto's reused sort buffer.
+	query      vector.Sparse
+	keep       func([]metrics.ScoredTag, bool)
+	scores     []metrics.ScoredTag
+	answered   bool
+	selScratch []metrics.ScoredTag
 }
 
 // ErrNotTrained is returned by Suggest/AutoTag before Train has run.
@@ -218,17 +217,8 @@ func New(cfg Config) (*Tagger, error) {
 		s.Parallel = cfg.Parallel
 		t.clf, t.refiner, t.setDocs = s, s, s.SetDocs
 	}
-	if ss, ok := t.clf.(protocol.StreamScorer); ok && ss.StreamsFrom(t.self) {
-		t.stream = ss
-		cb := func(sc []metrics.ScoredTag, ok bool) {
-			// The scores live in the protocol's reused scratch, valid only
-			// during the callback: copy into the tagger's own reused slice.
-			t.streamOK = ok
-			t.streamScores = append(t.streamScores[:0], sc...)
-		}
-		t.streamVisit = func(entries []vector.Entry) {
-			t.stream.PredictEntries(t.self, entries, cb)
-		}
+	t.keep = func(sc []metrics.ScoredTag, ok bool) {
+		t.scores, t.answered = append(t.scores[:0], sc...), ok
 	}
 	return t, nil
 }
@@ -278,25 +268,25 @@ func (t *Tagger) Train() error {
 // run drives the simulated network to quiescence.
 func (t *Tagger) run() { t.net.Run(0) }
 
-// predictScores answers one local query, streaming when the protocol
-// supports it. The returned scores may live in reused scratch: consume
-// them before the next query.
-func (t *Tagger) predictScores(text string) ([]metrics.ScoredTag, bool) {
-	if t.stream != nil {
-		t.pre.VectorizeInto(text, t.streamVisit)
-		// Streaming protocols answer synchronously and send no traffic;
-		// run() is a no-op kept for engine-accounting symmetry.
-		t.run()
-		return t.streamScores, t.streamOK
-	}
-	x := t.pre.Vectorize(text)
-	var scores []metrics.ScoredTag
-	answered := false
-	t.clf.Predict(t.self, x, func(sc []metrics.ScoredTag, ok bool) {
-		scores, answered = sc, ok
+// predict issues one local query for text: the document flows from the
+// pooled preprocessing workspace through a borrowed vector view into the
+// protocol, with no materialized *vector.Sparse. The view dies when
+// Predict returns; a protocol that answers later has cloned it.
+func (t *Tagger) predict(text string, cb func([]metrics.ScoredTag, bool)) {
+	t.pre.VectorizeInto(text, func(entries []vector.Entry) {
+		t.query = vector.Borrow(entries)
+		t.clf.Predict(t.self, &t.query, cb)
+		t.query = vector.Sparse{}
 	})
+}
+
+// predictScores answers one local query. The returned scores live in the
+// tagger's reused scratch: consume them before the next query.
+func (t *Tagger) predictScores(text string) ([]metrics.ScoredTag, bool) {
+	t.answered = false
+	t.predict(text, t.keep)
 	t.run()
-	return scores, answered
+	return t.scores, t.answered
 }
 
 // Suggest returns the suggestion cloud for a document: every known tag
@@ -342,15 +332,10 @@ func (t *Tagger) AutoTag(text string) ([]string, error) {
 
 // AutoTagBatch assigns tags to many documents in one pass and returns one
 // tag list per input text, in input order. It produces exactly what
-// calling AutoTag on each text in sequence would, but restructures the
-// work for throughput. Under a streaming protocol (local, PACE,
-// coordinator-origin centralized) each document flows through reused
-// scratch — pooled workspace to fused scores to selected tags — with no
-// intermediate vectors at all. Otherwise term extraction fans out over
-// all cores (preprocessing is pure per-document CPU work; lexicon id
-// assignment stays serial in input order so feature ids are
-// reproducible), and every swarm query is issued before the simulated
-// network runs once, instead of draining the event queue per document.
+// calling AutoTag on each text in sequence would, but issues every query
+// before the simulated network runs once, instead of draining the event
+// queue per document. Each row's answer is selected into tags as it
+// arrives, so no per-batch vectors or score lists are kept.
 //
 // Documents the swarm cannot answer get a nil tag list rather than
 // aborting the batch; the first such failure is reported as an
@@ -363,62 +348,27 @@ func (t *Tagger) AutoTagBatch(texts []string) ([][]string, error) {
 	if !t.trained {
 		return nil, ErrNotTrained
 	}
-	if t.stream != nil {
-		// Streaming protocols answer each query synchronously, so the
-		// batch flows one document at a time through the tagger's reused
-		// scratch — O(1) intermediate state instead of a materialized
-		// per-batch vector slice — and resolves each row immediately.
-		// Answers cannot depend on issue order (queries send no traffic
-		// and mutate no protocol state), so per-doc resolution produces
-		// exactly what issue-all-then-run would.
-		out := make([][]string, len(texts))
-		var firstErr error
-		for i, text := range texts {
-			t.pre.VectorizeInto(text, t.streamVisit)
-			if !t.streamOK {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("doctagger: document %d: %w", i, ErrNoAnswer)
-				}
-				continue
+	out := make([][]string, len(texts))
+	for i, text := range texts {
+		t.predict(text, func(sc []metrics.ScoredTag, ok bool) {
+			if !ok {
+				return
 			}
 			var tags []string
-			tags, t.selScratch = protocol.SelectTagsInto(nil, t.streamScores, t.selScratch, t.cfg.Threshold, t.cfg.MaxTags)
+			tags, t.selScratch = protocol.SelectTagsInto(nil, sc, t.selScratch, t.cfg.Threshold, t.cfg.MaxTags)
 			if tags == nil {
 				tags = []string{}
 			}
 			out[i] = tags
-		}
-		t.run()
-		return out, firstErr
-	}
-	vecs := t.pre.VectorizeBatch(texts, t.cfg.Parallel)
-	type answer struct {
-		scores []metrics.ScoredTag
-		ok     bool
-	}
-	answers := make([]answer, len(texts))
-	for i, x := range vecs {
-		t.clf.Predict(t.self, x, func(sc []metrics.ScoredTag, ok bool) {
-			answers[i] = answer{scores: sc, ok: ok}
 		})
 	}
 	t.run()
-	out := make([][]string, len(texts))
-	var firstErr error
-	for i, a := range answers {
-		if !a.ok {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("doctagger: document %d: %w", i, ErrNoAnswer)
-			}
-			continue
-		}
-		tags := protocol.SelectTags(a.scores, t.cfg.Threshold, t.cfg.MaxTags)
+	for i, tags := range out {
 		if tags == nil {
-			tags = []string{}
+			return out, fmt.Errorf("doctagger: document %d: %w", i, ErrNoAnswer)
 		}
-		out[i] = tags
 	}
-	return out, firstErr
+	return out, nil
 }
 
 // Refine records the user's corrected tags for a document at the local

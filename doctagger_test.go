@@ -200,10 +200,10 @@ func TestAutoTagBatchMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestStreamingMatchesMaterialized pins the streaming fast path — pooled
-// workspace straight into fused scoring, no intermediate vector — against
-// a manually materialized Vectorize+Predict+SelectTags reference on a
-// twin swarm, for every protocol that streams. Scores compare on exact
+// TestStreamingMatchesMaterialized pins the Tagger's query path — pooled
+// workspace through a borrowed vector view into Predict, no intermediate
+// vector — against a manually materialized Vectorize+Predict+SelectTags
+// reference on a twin swarm, for every protocol. Scores compare on exact
 // float64 equality: streaming must not change a single bit.
 func TestStreamingMatchesMaterialized(t *testing.T) {
 	queries := []string{
@@ -212,7 +212,7 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 		"a bread recipe with yeast and flour",
 		"",
 	}
-	for _, proto := range []string{ProtocolPACE, ProtocolCentralized, ProtocolLocal} {
+	for _, proto := range []string{ProtocolCEMPaR, ProtocolPACE, ProtocolCentralized, ProtocolLocal} {
 		build := func() *Tagger {
 			tg, err := New(Config{Protocol: proto, Peers: 4, Seed: 11})
 			if err != nil {
@@ -225,21 +225,12 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 			return tg
 		}
 		streaming := build()
-		if streaming.stream == nil {
-			t.Fatalf("%s: streaming path not wired", proto)
-		}
 		ref := build()
-		for _, q := range queries {
-			gotSuggest, err := streaming.Suggest(q)
-			if err != nil {
-				t.Fatalf("%s: Suggest(%q): %v", proto, q, err)
-			}
-			gotTags, err := streaming.AutoTag(q)
-			if err != nil {
-				t.Fatalf("%s: AutoTag(%q): %v", proto, q, err)
-			}
-
-			// Materialized reference: the pre-streaming pipeline, by hand.
+		// reference is the pre-streaming pipeline, by hand. The twin
+		// issues one reference query per Tagger query, so swarms whose
+		// answers depend on network state (CEMPaR's lookups and message
+		// latencies) stay in lockstep.
+		reference := func(q string) []metrics.ScoredTag {
 			x := ref.pre.Vectorize(q)
 			var scores []metrics.ScoredTag
 			answered := false
@@ -251,11 +242,14 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 			if !answered {
 				t.Fatalf("%s: reference swarm did not answer %q", proto, q)
 			}
-			wantTags := protocol.SelectTags(scores, ref.cfg.Threshold, ref.cfg.MaxTags)
-
-			if strings.Join(gotTags, ",") != strings.Join(wantTags, ",") {
-				t.Errorf("%s %q: streamed tags %v != materialized %v", proto, q, gotTags, wantTags)
+			return scores
+		}
+		for _, q := range queries {
+			gotSuggest, err := streaming.Suggest(q)
+			if err != nil {
+				t.Fatalf("%s: Suggest(%q): %v", proto, q, err)
 			}
+			scores := reference(q)
 			sort.Slice(scores, func(i, j int) bool {
 				if scores[i].Score != scores[j].Score {
 					return scores[i].Score > scores[j].Score
@@ -271,16 +265,16 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 						proto, q, i, gotSuggest[i], scores[i])
 				}
 			}
+
+			gotTags, err := streaming.AutoTag(q)
+			if err != nil {
+				t.Fatalf("%s: AutoTag(%q): %v", proto, q, err)
+			}
+			wantTags := protocol.SelectTags(reference(q), ref.cfg.Threshold, ref.cfg.MaxTags)
+			if strings.Join(gotTags, ",") != strings.Join(wantTags, ",") {
+				t.Errorf("%s %q: streamed tags %v != materialized %v", proto, q, gotTags, wantTags)
+			}
 		}
-	}
-	// CEMPaR routes queries over the swarm; it must stay on the
-	// materialized path.
-	tg, err := New(Config{Protocol: ProtocolCEMPaR, Peers: 4, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tg.stream != nil {
-		t.Error("CEMPaR wired a streaming path it cannot honor")
 	}
 }
 

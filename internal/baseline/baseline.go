@@ -52,9 +52,8 @@ type Centralized struct {
 	// or in Predict while the simulated clock is stopped.
 	fused    *svm.FusedLinear
 	scoreBuf []float64
-	// scored is PredictEntries' reused answer slice: the streaming
-	// contract says cb consumes it synchronously, so one buffer serves
-	// every coordinator-origin query.
+	// scored is the reused answer slice of coordinator-origin queries:
+	// Predict's contract says cb consumes it synchronously.
 	scored []metrics.ScoredTag
 	// pending queries awaiting coordinator answers, bucketed by origin so
 	// an answer handled at its origin touches only that origin's bucket
@@ -223,25 +222,23 @@ func (c *Centralized) retrainIfDirty() {
 // coordinator and the scored answer returns. When the coordinator is down
 // the query is lost — the single point of failure the paper highlights —
 // and cb fires with ok=false after the run drains (via a scheduled check).
+// Coordinator-origin queries score synchronously into reused scratch; any
+// other origin outlives this call in a network payload, so x is cloned.
 func (c *Centralized) Predict(from simnet.NodeID, x *vector.Sparse, cb func([]metrics.ScoredTag, bool)) {
-	if !c.net.Alive(from) {
-		cb(nil, false)
-		return
-	}
-	if !c.net.Alive(c.cfg.Coordinator) {
+	if !c.net.Alive(from) || !c.net.Alive(c.cfg.Coordinator) {
 		cb(nil, false)
 		return
 	}
 	if from == c.cfg.Coordinator {
 		c.retrainIfDirty()
-		scores := make([]metrics.ScoredTag, 0, len(c.models))
+		c.scored = c.scored[:0]
 		if c.fused != nil {
 			c.scoreBuf = c.fused.ScoreInto(x, c.scoreBuf)
 			for i, tag := range c.fused.Tags() {
-				scores = append(scores, metrics.ScoredTag{Tag: tag, Score: c.platt[tag].Prob(c.scoreBuf[i])})
+				c.scored = append(c.scored, metrics.ScoredTag{Tag: tag, Score: c.platt[tag].Prob(c.scoreBuf[i])})
 			}
 		}
-		cb(scores, true)
+		cb(c.scored, true)
 		return
 	}
 	req := c.nextReq[from]
@@ -250,48 +247,8 @@ func (c *Centralized) Predict(from simnet.NodeID, x *vector.Sparse, cb func([]me
 	c.net.Send(simnet.Message{
 		From: from, To: c.cfg.Coordinator, Kind: "central.query",
 		Size:    x.WireSize() + 16,
-		Payload: centralQuery{x: x, origin: from, req: req},
+		Payload: centralQuery{x: x.Clone(), origin: from, req: req},
 	})
-}
-
-// StreamsFrom implements protocol.StreamScorer: only coordinator-origin
-// queries answer synchronously; everything else crosses the simulated
-// network and resolves when the caller drives it.
-func (c *Centralized) StreamsFrom(from simnet.NodeID) bool {
-	return from == c.cfg.Coordinator
-}
-
-// PredictEntries implements protocol.StreamScorer. Coordinator-origin
-// queries score straight off the borrowed entries into reused scratch
-// (scores handed to cb are valid only during the call); queries from any
-// other peer must outlive this call in a network payload, so the entries
-// are copied into a materialized vector and the query delegates to
-// Predict.
-func (c *Centralized) PredictEntries(from simnet.NodeID, entries []vector.Entry, cb func([]metrics.ScoredTag, bool)) {
-	if !c.net.Alive(from) || !c.net.Alive(c.cfg.Coordinator) {
-		cb(nil, false)
-		return
-	}
-	if from != c.cfg.Coordinator {
-		e := make([]vector.Entry, len(entries))
-		copy(e, entries)
-		x, err := vector.FromEntries(e)
-		if err != nil {
-			cb(nil, false)
-			return
-		}
-		c.Predict(from, x, cb)
-		return
-	}
-	c.retrainIfDirty()
-	c.scored = c.scored[:0]
-	if c.fused != nil {
-		c.scoreBuf = c.fused.ScoreEntriesInto(entries, c.scoreBuf)
-		for i, tag := range c.fused.Tags() {
-			c.scored = append(c.scored, metrics.ScoredTag{Tag: tag, Score: c.platt[tag].Prob(c.scoreBuf[i])})
-		}
-	}
-	cb(c.scored, true)
 }
 
 // Refine implements protocol.Refiner by uploading the corrected document.
@@ -334,8 +291,8 @@ type Local struct {
 	// buffer — Predict runs serially per System, like every protocol here.
 	fused    map[simnet.NodeID]*svm.FusedLinear
 	scoreBuf []float64
-	// scored is PredictEntries' reused answer slice (consumed
-	// synchronously by cb per the streaming contract).
+	// scored is Predict's reused answer slice (consumed synchronously by
+	// cb per the protocol.Classifier contract).
 	scored []metrics.ScoredTag
 }
 
@@ -407,7 +364,8 @@ func (l *Local) trainPeer(id simnet.NodeID) (map[string]*svm.LinearModel, map[st
 	return ms, ps
 }
 
-// Predict implements protocol.Classifier, synchronously and locally.
+// Predict implements protocol.Classifier, synchronously and locally, into
+// reused scratch.
 func (l *Local) Predict(from simnet.NodeID, x *vector.Sparse, cb func([]metrics.ScoredTag, bool)) {
 	if !l.net.Alive(from) {
 		cb(nil, false)
@@ -419,32 +377,6 @@ func (l *Local) Predict(from simnet.NodeID, x *vector.Sparse, cb func([]metrics.
 		return
 	}
 	l.scoreBuf = fu.ScoreInto(x, l.scoreBuf)
-	out := make([]metrics.ScoredTag, 0, fu.NumTags())
-	platt := l.platt[from]
-	for i, tag := range fu.Tags() {
-		out = append(out, metrics.ScoredTag{Tag: tag, Score: platt[tag].Prob(l.scoreBuf[i])})
-	}
-	cb(out, true)
-}
-
-// StreamsFrom implements protocol.StreamScorer: Local answers every query
-// synchronously.
-func (l *Local) StreamsFrom(simnet.NodeID) bool { return true }
-
-// PredictEntries implements protocol.StreamScorer: Predict's exact
-// scores, computed straight off the borrowed entries into reused scratch.
-// The scores handed to cb are valid only during the call.
-func (l *Local) PredictEntries(from simnet.NodeID, entries []vector.Entry, cb func([]metrics.ScoredTag, bool)) {
-	if !l.net.Alive(from) {
-		cb(nil, false)
-		return
-	}
-	fu := l.fused[from]
-	if fu == nil {
-		cb(nil, false)
-		return
-	}
-	l.scoreBuf = fu.ScoreEntriesInto(entries, l.scoreBuf)
 	l.scored = l.scored[:0]
 	platt := l.platt[from]
 	for i, tag := range fu.Tags() {

@@ -91,41 +91,48 @@ func setupLocal(t *testing.T, n int) (*simnet.Network, *Local) {
 	return net, l
 }
 
-// TestPredictEntriesMatchesPredict pins the streaming entry point to the
-// materialized one for both baselines and both centralized origins: the
-// same query must score bit-identically through either path.
-func TestPredictEntriesMatchesPredict(t *testing.T) {
-	predict := func(clf protocol.Classifier, net *simnet.Network, from simnet.NodeID, x *vector.Sparse) ([]metrics.ScoredTag, bool) {
-		var scores []metrics.ScoredTag
-		ok := false
-		clf.Predict(from, x, func(sc []metrics.ScoredTag, o bool) {
-			scores = append([]metrics.ScoredTag(nil), sc...)
-			ok = o
-		})
-		net.RunFor(time.Minute)
-		return scores, ok
+// ask issues one query for x. With borrow set it goes through a borrowed
+// view of a copy of x's entries, which are negated as soon as Predict
+// returns, before the network runs — what a caller reusing pooled scratch
+// does.
+func ask(clf protocol.Classifier, net *simnet.Network, from simnet.NodeID, x *vector.Sparse, borrow bool) ([]metrics.ScoredTag, bool) {
+	q := x
+	var entries []vector.Entry
+	if borrow {
+		entries = append(entries, x.Entries()...)
+		view := vector.Borrow(entries)
+		q = &view
 	}
-	stream := func(ss protocol.StreamScorer, net *simnet.Network, from simnet.NodeID, x *vector.Sparse) ([]metrics.ScoredTag, bool) {
-		var scores []metrics.ScoredTag
-		ok := false
-		ss.PredictEntries(from, x.Entries(), func(sc []metrics.ScoredTag, o bool) {
-			scores = append([]metrics.ScoredTag(nil), sc...)
-			ok = o
-		})
-		net.RunFor(time.Minute)
-		return scores, ok
+	var scores []metrics.ScoredTag
+	ok := false
+	clf.Predict(from, q, func(sc []metrics.ScoredTag, o bool) {
+		scores = append([]metrics.ScoredTag(nil), sc...)
+		ok = o
+	})
+	for i := range entries {
+		entries[i].Value = -entries[i].Value
 	}
+	net.RunFor(time.Minute)
+	return scores, ok
+}
+
+// TestPredictBorrowContract pins Predict's borrow contract for both
+// baselines and both centralized origins: a borrowed query overwritten
+// right after Predict returns must answer bit for bit as the materialized
+// query on a twin. A remote-origin Centralized query crosses the network,
+// so this fails if Predict stops cloning it.
+func TestPredictBorrowContract(t *testing.T) {
 	compare := func(t *testing.T, name string, got, want []metrics.ScoredTag, gotOK, wantOK bool) {
 		t.Helper()
-		if gotOK != wantOK {
-			t.Fatalf("%s: streaming ok=%v, materialized ok=%v", name, gotOK, wantOK)
+		if !wantOK || gotOK != wantOK {
+			t.Fatalf("%s: borrowed ok=%v, materialized ok=%v", name, gotOK, wantOK)
 		}
 		if len(got) != len(want) {
-			t.Fatalf("%s: %d streamed scores, %d materialized", name, len(got), len(want))
+			t.Fatalf("%s: %d borrowed scores, %d materialized", name, len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Errorf("%s score %d: streamed %+v != materialized %+v", name, i, got[i], want[i])
+				t.Errorf("%s score %d: borrowed %+v != materialized %+v", name, i, got[i], want[i])
 			}
 		}
 	}
@@ -137,14 +144,11 @@ func TestPredictEntriesMatchesPredict(t *testing.T) {
 		netB, b := setupCentral(t, 6)
 		b.Fit()
 		netB.RunFor(time.Minute)
-		if !a.StreamsFrom(0) || a.StreamsFrom(3) {
-			t.Fatal("Centralized must stream only coordinator-origin queries")
-		}
 		for _, from := range []simnet.NodeID{0, 3} { // coordinator and remote origin
 			for topic := 0; topic < 3; topic++ {
 				x := topicDoc(topic, 1).X
-				want, wantOK := predict(a, netA, from, x)
-				got, gotOK := stream(b, netB, from, x)
+				want, wantOK := ask(a, netA, from, x, false)
+				got, gotOK := ask(b, netB, from, x, true)
 				compare(t, "centralized", got, want, gotOK, wantOK)
 			}
 		}
@@ -152,13 +156,10 @@ func TestPredictEntriesMatchesPredict(t *testing.T) {
 	t.Run("local", func(t *testing.T) {
 		net, l := setupLocal(t, 6)
 		l.Fit()
-		if !l.StreamsFrom(2) {
-			t.Fatal("Local must stream every query")
-		}
 		for topic := 0; topic < 3; topic++ {
 			x := topicDoc(topic, 2).X
-			want, wantOK := predict(l, net, 2, x)
-			got, gotOK := stream(l, net, 2, x)
+			want, wantOK := ask(l, net, 2, x, false)
+			got, gotOK := ask(l, net, 2, x, true)
 			compare(t, "local", got, want, gotOK, wantOK)
 		}
 	})

@@ -450,12 +450,14 @@ func sampleModel(samples []protocol.Doc, tag string, k svm.Kernel, c float64) *s
 
 // Predict implements protocol.Classifier: the untagged vector travels to
 // super-peers, whose regional models score every known tag; the origin
-// aggregates with (weighted) majority voting.
+// aggregates with (weighted) majority voting. The query outlives this call
+// in DHT lookups and network payloads, so x is cloned first.
 func (s *System) Predict(from simnet.NodeID, x *vector.Sparse, cb func([]metrics.ScoredTag, bool)) {
 	if !s.net.Alive(from) {
 		cb(nil, false)
 		return
 	}
+	x = x.Clone()
 	var regions []int
 	if s.cfg.OwnRegionOnly {
 		regions = []int{dht.Region(s.d.NodeHash(from), s.cfg.Regions)}

@@ -95,6 +95,45 @@ func TestFitAndPredict(t *testing.T) {
 	}
 }
 
+// TestPredictBorrowContract pins Predict's borrow contract: the query is
+// valid only until Predict returns, so a caller may overwrite its entries
+// right away, before the network runs. CEMPaR's query crosses the swarm,
+// so Predict must clone it; the overwritten borrowed query must answer bit
+// for bit as the materialized query on a twin swarm.
+func TestPredictBorrowContract(t *testing.T) {
+	cfg := Config{Regions: 2, Weighted: true, Seed: 3}
+	netA, a := build(t, 12, cfg)
+	a.Fit()
+	netA.RunFor(time.Minute)
+	netB, b := build(t, 12, cfg)
+	b.Fit()
+	netB.RunFor(time.Minute)
+	for topic := 0; topic < 3; topic++ {
+		x := topicDoc(topic, 2).X
+		want, wantOK := predict(t, netA, a, 5, x)
+		entries := append([]vector.Entry(nil), x.Entries()...)
+		q := vector.Borrow(entries)
+		var got []metrics.ScoredTag
+		gotOK := false
+		b.Predict(5, &q, func(sc []metrics.ScoredTag, o bool) { got, gotOK = sc, o })
+		for i := range entries {
+			entries[i].Value = -entries[i].Value
+		}
+		netB.RunFor(30 * time.Second)
+		if !wantOK || gotOK != wantOK {
+			t.Fatalf("topic %d: borrowed ok=%v, materialized ok=%v", topic, gotOK, wantOK)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("topic %d: %d borrowed scores, %d materialized", topic, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Errorf("topic %d score %d: borrowed %+v != materialized %+v", topic, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestModelsReachSuperPeers(t *testing.T) {
 	net, s := build(t, 12, Config{Regions: 2, Seed: 3})
 	s.Fit()

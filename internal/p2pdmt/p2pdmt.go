@@ -340,6 +340,9 @@ func RunWithData(cfg Config, corpus *dataset.Corpus, train, test []dataset.Docum
 	}
 	var p1Sum, oneErrSum float64
 	answered := 0
+	// scores outlives the callback (the answer is read after the query
+	// window), so the callback copies it out of the protocol's scratch.
+	var scores []metrics.ScoredTag
 	for i := 0; i < nEval; i++ {
 		doc := test[i]
 		x := testVecs[i]
@@ -351,11 +354,10 @@ func RunWithData(cfg Config, corpus *dataset.Corpus, train, test []dataset.Docum
 			res.SkippedOffline++
 			continue
 		}
-		var scores []metrics.ScoredTag
 		ok := false
 		fired := false
 		clf.Predict(from, x, func(s []metrics.ScoredTag, o bool) {
-			scores, ok, fired = s, o, true
+			scores, ok, fired = append(scores[:0], s...), o, true
 		})
 		net.RunFor(cfg.QueryWindow)
 		res.TotalQueries++

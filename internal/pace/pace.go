@@ -433,19 +433,6 @@ func (s *System) Predict(from simnet.NodeID, x *vector.Sparse, cb func([]metrics
 	cb(out, true)
 }
 
-// StreamsFrom implements protocol.StreamScorer: PACE predicts entirely
-// locally, so every query answers synchronously.
-func (s *System) StreamsFrom(simnet.NodeID) bool { return true }
-
-// PredictEntries implements protocol.StreamScorer by wrapping the
-// borrowed entries as a stack-local vector view: Predict reads the query
-// synchronously (distances, LSH lookup, fused scoring) and retains
-// nothing, so the borrow never outlives the call.
-func (s *System) PredictEntries(from simnet.NodeID, entries []vector.Entry, cb func([]metrics.ScoredTag, bool)) {
-	x := vector.Borrow(entries)
-	s.Predict(from, &x, cb)
-}
-
 // Refine implements protocol.Refiner: retrain the local models with the
 // corrected document and re-broadcast.
 func (s *System) Refine(peer simnet.NodeID, doc protocol.Doc) {

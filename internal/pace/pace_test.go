@@ -80,33 +80,37 @@ func TestPredictIsLocalAndCorrect(t *testing.T) {
 	}
 }
 
-// TestPredictEntriesMatchesPredict pins the streaming entry point to the
-// materialized one: identical scores, bit for bit, on every query.
-func TestPredictEntriesMatchesPredict(t *testing.T) {
+// TestPredictBorrowContract pins Predict's borrow contract: PACE answers
+// synchronously, so a borrowed query overwritten right after Predict
+// returns must have been scored, bit for bit, as the materialized query.
+func TestPredictBorrowContract(t *testing.T) {
 	net, s := build(t, 9, Config{TopK: 3, Seed: 2})
 	s.Fit()
 	net.RunFor(time.Minute)
-	if !s.StreamsFrom(4) {
-		t.Fatal("PACE must stream every query")
-	}
 	for topic := 0; topic < 3; topic++ {
-		q := topicDoc(topic, 2).X
+		x := topicDoc(topic, 2).X
 		var want, got []metrics.ScoredTag
 		wantOK, gotOK := false, false
-		s.Predict(4, q, func(sc []metrics.ScoredTag, o bool) { want, wantOK = sc, o })
-		s.PredictEntries(4, q.Entries(), func(sc []metrics.ScoredTag, o bool) {
+		s.Predict(4, x, func(sc []metrics.ScoredTag, o bool) { want, wantOK = sc, o })
+		entries := append([]vector.Entry(nil), x.Entries()...)
+		q := vector.Borrow(entries)
+		s.Predict(4, &q, func(sc []metrics.ScoredTag, o bool) {
 			got = append([]metrics.ScoredTag(nil), sc...)
 			gotOK = o
 		})
-		if wantOK != gotOK {
-			t.Fatalf("topic %d: streaming ok=%v, materialized ok=%v", topic, gotOK, wantOK)
+		for i := range entries {
+			entries[i].Value = -entries[i].Value
+		}
+		net.RunFor(time.Minute)
+		if !wantOK || wantOK != gotOK {
+			t.Fatalf("topic %d: borrowed ok=%v, materialized ok=%v", topic, gotOK, wantOK)
 		}
 		if len(got) != len(want) {
-			t.Fatalf("topic %d: %d streamed scores, %d materialized", topic, len(got), len(want))
+			t.Fatalf("topic %d: %d borrowed scores, %d materialized", topic, len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Errorf("topic %d score %d: streamed %+v != materialized %+v", topic, i, got[i], want[i])
+				t.Errorf("topic %d score %d: borrowed %+v != materialized %+v", topic, i, got[i], want[i])
 			}
 		}
 	}

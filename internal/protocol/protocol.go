@@ -39,6 +39,12 @@ type Classifier interface {
 	// every tag the protocol knows; absent tags mean score 0. If the
 	// query cannot be answered (e.g. the responsible node is down), ok is
 	// false.
+	//
+	// Borrow contract: x is valid only until Predict returns (it may be a
+	// vector.Borrow view of pooled preprocessing scratch), so a protocol
+	// that answers after the network runs copies it first with x.Clone().
+	// The scores handed to cb may be reused scratch: cb consumes or copies
+	// them before returning.
 	Predict(from simnet.NodeID, x *vector.Sparse, cb func(scores []metrics.ScoredTag, ok bool))
 }
 
@@ -47,25 +53,6 @@ type Classifier interface {
 // the local and global models.
 type Refiner interface {
 	Refine(peer simnet.NodeID, doc Doc)
-}
-
-// StreamScorer is implemented by protocols whose Predict can run over raw
-// sorted entries without a materialized *vector.Sparse — the streaming
-// fast path. PredictEntries has Predict's exact semantics (cb invoked
-// exactly once, same scores bit for bit), with a stricter borrow
-// contract: the entries slice is only valid for the duration of the call
-// (it typically lives in pooled preprocessing scratch), so an
-// implementation that must defer the answer — e.g. forward the query over
-// the network — copies the entries first. Likewise the scores slice
-// handed to cb may be reused scratch: cb must consume it synchronously.
-type StreamScorer interface {
-	// StreamsFrom reports whether PredictEntries answers synchronously
-	// (cb fires before it returns) for queries originating at from. Only
-	// then can a caller drive a whole batch through reused scratch with
-	// O(1) intermediate state; otherwise it falls back to materialized
-	// vectors that survive until the network delivers the answer.
-	StreamsFrom(from simnet.NodeID) bool
-	PredictEntries(from simnet.NodeID, entries []vector.Entry, cb func(scores []metrics.ScoredTag, ok bool))
 }
 
 // Sigmoid squashes an SVM decision value into a (0,1) confidence.
@@ -81,7 +68,7 @@ func SelectTags(scores []metrics.ScoredTag, threshold float64, maxTags int) []st
 }
 
 // SelectTagsInto is SelectTags with caller-owned storage, for the
-// streaming batch path: the selected tags append into dst[:0] and the
+// Tagger's query path: the selected tags append into dst[:0] and the
 // sort runs in scratch (grown as needed), so a tagging loop reusing both
 // allocates only when a document needs more room than any predecessor.
 // Returns the tags and the (possibly regrown) scratch. scores itself is

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -287,11 +288,37 @@ func TestBackoffDeterministic(t *testing.T) {
 	}
 }
 
+// drainListener is a bare TCP peer that reads and discards every frame
+// and never replies, so a node's send counters see only its own sends.
+func drainListener(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				io.Copy(io.Discard, c)
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
 // TestQuarantineAndReprobe exercises the dead-peer path end to end: sends
 // to an unreachable peer burn their retry budget, the peer is quarantined
 // (sends fail fast without dialing), and the first send after the
 // quarantine expires re-probes — recovering the peer once it is reachable
-// again.
+// again. The peer is a drainListener: a full Node would answer the probe
+// hello with its own, and the introduction back would add a second frame
+// out.
 func TestQuarantineAndReprobe(t *testing.T) {
 	var dead atomic.Bool
 	dead.Store(true)
@@ -313,12 +340,7 @@ func TestQuarantineAndReprobe(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nd.Close()
-	target, err := Start(Config{Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer target.Close()
-	peer := target.Addr()
+	peer := drainListener(t)
 
 	// Two failing sends exhaust the quarantine budget.
 	for i := 0; i < 2; i++ {

@@ -485,10 +485,10 @@ func (s *Server) abortFlight(text string, f *flight) {
 // alongside the remaining results (mirroring AutoTagBatch). Documents with
 // cached answers are served from the cache, duplicate texts are computed
 // once and fanned out to every duplicate row; only distinct misses reach
-// the engines. Inside an engine shard each chunk streams one document at
-// a time through the shard's reused scratch (see doctagger.AutoTagBatch
-// and realnet.Ensemble.AutoTagBatch), so a chunk's intermediate state is
-// O(1) regardless of its size.
+// the engines. Inside an engine shard each document of a chunk is
+// preprocessed in the shard's reused scratch (see doctagger.AutoTagBatch
+// and realnet.Ensemble.AutoTagBatch), so no per-chunk vectors are
+// materialized.
 //
 // Submission blocks until the dispatcher accepts every chunk or ctx is
 // cancelled; TagBatch does not fail fast. As with Tag, cancelling after
@@ -726,6 +726,7 @@ func (s *Server) dispatch(cur *generation) {
 // or shutdown), after finishing any in-flight batch.
 func (s *Server) serve(g *generation, e Engine) {
 	defer g.workers.Done()
+	var results []result // reused across batches
 	for batch := range g.batches {
 		start := time.Now()
 		texts := make([]string, len(batch))
@@ -742,8 +743,9 @@ func (s *Server) serve(g *generation, e Engine) {
 				cause = u
 			}
 		}
+		results = results[:0]
 		var failed int64
-		for i, r := range batch {
+		for i := range batch {
 			res := result{gen: g.id}
 			switch {
 			case i < len(out) && out[i] != nil:
@@ -762,8 +764,7 @@ func (s *Server) serve(g *generation, e Engine) {
 			if res.err != nil {
 				failed++
 			}
-			r.ch <- res
-			s.pending.Done()
+			results = append(results, res)
 		}
 		var waitTotal, waitMax time.Duration
 		for _, r := range batch {
@@ -788,6 +789,12 @@ func (s *Server) serve(g *generation, e Engine) {
 				c.waitMax = waitMax
 			}
 		})
+		// Reply only after counting, so a Stats read right after an
+		// answer already includes its batch.
+		for i, r := range batch {
+			r.ch <- results[i]
+			s.pending.Done()
+		}
 	}
 }
 

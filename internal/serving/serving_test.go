@@ -299,6 +299,43 @@ func TestPreCancelledContextNeverEnqueues(t *testing.T) {
 	}
 }
 
+// TestStatsCoverEveryAnsweredRow pins that the counters never lag the
+// reply: right after each Tag or TagBatch returns, Stats.Issued (Served +
+// CacheHits + Coalesced + Deduped) already covers every row this, the only,
+// client has received — engine rows, cache hits and intra-batch
+// duplicates alike.
+func TestStatsCoverEveryAnsweredRow(t *testing.T) {
+	s, err := New(Config{MaxBatch: 4, MaxDelay: time.Microsecond, CacheSize: 8}, &fakeEngine{}, &fakeEngine{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := context.Background()
+	var rows int64
+	check := func(op string, i int) {
+		t.Helper()
+		if st := s.Stats(); st.Issued != rows {
+			t.Fatalf("%s %d: Issued %d right after the reply, client holds %d rows (served %d, hits %d, coalesced %d, deduped %d)",
+				op, i, st.Issued, rows, st.Served, st.CacheHits, st.Coalesced, st.Deduped)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		text := fmt.Sprintf("doc-%d", i%16) // repeats hit or miss the 8-entry cache
+		if _, err := s.Tag(ctx, text); err != nil {
+			t.Fatal(err)
+		}
+		rows++
+		check("Tag", i)
+		batch := []string{fmt.Sprintf("b-%d", i), text, fmt.Sprintf("b-%d", i), fmt.Sprintf("c-%d", i)}
+		got, err := s.TagBatch(ctx, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows += int64(len(got))
+		check("TagBatch", i)
+	}
+}
+
 // TestTagBatchMatchesTag: batch answers are identical to per-document Tag
 // calls, in input order, and the documents enter the dispatcher as
 // pre-formed chunks of at most MaxBatch.

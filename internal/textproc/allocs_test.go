@@ -93,25 +93,6 @@ func TestStreamingScoreAllocBudget(t *testing.T) {
 	}
 }
 
-// TestVectorizeBatchAllocBudget: the packed-arena hand-off costs two
-// slices per document in the parallel phase plus the usual two
-// materialization allocations in the serial tail (runner adds a constant
-// per-batch overhead, amortized out by the 8-doc batch).
-func TestVectorizeBatchAllocBudget(t *testing.T) {
-	texts := make([]string, 8)
-	for i := range texts {
-		texts[i] = allocDoc
-	}
-	p := NewPreprocessor(nil, Options{Normalize: true})
-	p.VectorizeBatch(texts, 1) // warm lexicon, docFreq and pools
-	const perDoc = 4           // arena + offsets + entry slice + Sparse header
-	budget := float64(len(texts)*perDoc + 8)
-	got := testing.AllocsPerRun(50, func() { p.VectorizeBatch(texts, 1) })
-	if got > budget {
-		t.Errorf("VectorizeBatch: %.1f allocs/op for %d docs, budget %.0f", got, len(texts), budget)
-	}
-}
-
 // TestTokenizeAllocBudget: Tokenize must cost exactly one slice plus one
 // string per token — no builder or trim churn.
 func TestTokenizeAllocBudget(t *testing.T) {

@@ -205,22 +205,6 @@ func TestVectorizePinnedToReference(t *testing.T) {
 	}
 }
 
-// TestVectorizeBatchPinnedToFastPath: the batch path (string terms +
-// shared accumulate tail) equals per-document Vectorize.
-func TestVectorizeBatchPinnedToFastPath(t *testing.T) {
-	for _, opts := range pinOptions() {
-		batch := NewPreprocessor(nil, opts)
-		serial := NewPreprocessor(nil, opts)
-		got := batch.VectorizeBatch(pinCorpus, 4)
-		for i, doc := range pinCorpus {
-			want := serial.Vectorize(doc)
-			if !got[i].Equal(want) {
-				t.Fatalf("opts %+v doc %d: batch %v != serial %v", opts, i, got[i], want)
-			}
-		}
-	}
-}
-
 // TestStemBytesMatchesStem: the in-place byte stemmer is the string
 // stemmer, including the non-ASCII and short-word bailouts.
 func TestStemBytesMatchesStem(t *testing.T) {

@@ -14,7 +14,6 @@ import (
 	"unicode"
 	"unicode/utf8"
 
-	"repro/internal/runner"
 	"repro/internal/vector"
 )
 
@@ -389,46 +388,6 @@ func (p *Preprocessor) VectorizeInto(text string, visit func(entries []vector.En
 	visit(ws.entries)
 }
 
-// termsPacked runs the parallel phase of VectorizeBatch on a pooled
-// workspace and copies the surviving stems into one compact arena with
-// n+1 offsets delimiting the terms. The copy detaches the result from the
-// workspace (which goes back to the pool) and is the only per-document
-// allocation of the phase — two slices instead of one string per term.
-func (p *Preprocessor) termsPacked(text string) ([]byte, []int32) {
-	ws := getWorkspace()
-	defer putWorkspace(ws)
-	ws.tokenize(text)
-	p.terms(ws)
-	if len(ws.spans) == 0 {
-		return nil, nil
-	}
-	size := 0
-	for _, sp := range ws.spans {
-		size += sp.end - sp.start
-	}
-	arena := make([]byte, 0, size)
-	offs := make([]int32, 1, len(ws.spans)+1)
-	for _, sp := range ws.spans {
-		arena = append(arena, ws.arena[sp.start:sp.end]...)
-		offs = append(offs, int32(len(arena)))
-	}
-	return arena, offs
-}
-
-// vectorizeTermBytes is the serial tail of VectorizeBatch: feature id
-// assignment over a packed term arena (the byte path — interned terms
-// allocate nothing), then document-frequency bookkeeping, weighting and
-// normalization.
-func (p *Preprocessor) vectorizeTermBytes(arena []byte, offs []int32) *vector.Sparse {
-	ws := getWorkspace()
-	defer putWorkspace(ws)
-	ws.ids = ws.ids[:0]
-	for i := 0; i+1 < len(offs); i++ {
-		ws.ids = append(ws.ids, p.featureIDBytes(arena[offs[i]:offs[i+1]]))
-	}
-	return p.finishVector(ws)
-}
-
 // weigh turns the feature ids in ws.ids into the final weighted entries in
 // ws.entries: sort-then-accumulate term counts (replacing the historical
 // map[int32]float64 + FromMap sort — identical output, since duplicate ids
@@ -554,42 +513,6 @@ func (p *Preprocessor) featureIDBytes(term []byte) int32 {
 		return int32(h % uint32(p.opts.HashDim))
 	}
 	return p.lexicon.IDBytes(term)
-}
-
-// VectorizeAll maps Vectorize over texts serially.
-func (p *Preprocessor) VectorizeAll(texts []string) []*vector.Sparse {
-	return p.VectorizeBatch(texts, 1)
-}
-
-// packedTerms carries one document's filtered, stemmed terms between the
-// parallel and serial phases of VectorizeBatch: term i is
-// arena[offs[i]:offs[i+1]].
-type packedTerms struct {
-	arena []byte
-	offs  []int32
-}
-
-// VectorizeBatch vectorizes texts with the term-extraction stage
-// (tokenize, filter, stem — the bulk of preprocessing cost) fanned out
-// over parallel workers (see runner.Workers for the convention), while
-// feature id assignment and document-frequency updates run serially in
-// input order. Terms travel between the phases as packed byte arenas, so
-// the serial tail rides the same byte-path feature ids as the single-doc
-// fast path and the hand-off costs two slices per document instead of one
-// string per term. The returned vectors are identical to calling
-// Vectorize on each text in order, at any worker count: term extraction
-// is a pure function of the text, and everything order-sensitive
-// (new-word id assignment, docFreq/IDF accumulation) stays sequential.
-func (p *Preprocessor) VectorizeBatch(texts []string, parallel int) []*vector.Sparse {
-	packed, _ := runner.Map(len(texts), parallel, func(i int) (packedTerms, error) {
-		arena, offs := p.termsPacked(texts[i])
-		return packedTerms{arena: arena, offs: offs}, nil
-	})
-	out := make([]*vector.Sparse, len(texts))
-	for i := range texts {
-		out[i] = p.vectorizeTermBytes(packed[i].arena, packed[i].offs)
-	}
-	return out
 }
 
 // TopTerms returns the n highest-weighted terms of v, resolved through the

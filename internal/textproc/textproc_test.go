@@ -267,50 +267,12 @@ func TestVectorizeTFIDFDampsCommonTerms(t *testing.T) {
 	}
 }
 
-func TestVectorizeAllSharesLexicon(t *testing.T) {
+func TestVectorizeSharesLexicon(t *testing.T) {
 	p := NewPreprocessor(nil, Options{})
-	vs := p.VectorizeAll([]string{"dog cat", "cat mouse"})
-	if len(vs) != 2 {
-		t.Fatalf("got %d vectors", len(vs))
-	}
+	dogCat, catMouse := p.Vectorize("dog cat"), p.Vectorize("cat mouse")
 	catID, _ := p.Lexicon().Lookup("cat")
-	if vs[0].At(catID) != 1 || vs[1].At(catID) != 1 {
+	if dogCat.At(catID) != 1 || catMouse.At(catID) != 1 {
 		t.Error("cat id not shared across documents")
-	}
-}
-
-// TestVectorizeBatchMatchesSerial pins the batch determinism contract:
-// for every weighting scheme and any worker count, VectorizeBatch must
-// produce the exact vectors (and the exact lexicon) that serial Vectorize
-// calls produce in input order.
-func TestVectorizeBatchMatchesSerial(t *testing.T) {
-	texts := []string{
-		"whales swim across the deep ocean",
-		"the ship sailed the ocean at night",
-		"a night train crossed the old bridge",
-		"bridges and ships need steel and rivets",
-		"deep learning has nothing to do with whales",
-	}
-	for _, w := range []Weighting{TermFrequency, LogTF, TFIDF} {
-		serial := NewPreprocessor(nil, Options{Weighting: w, Normalize: true})
-		want := make([]*vector.Sparse, len(texts))
-		for i, txt := range texts {
-			want[i] = serial.Vectorize(txt)
-		}
-		for _, parallel := range []int{1, 4, 0} {
-			p := NewPreprocessor(nil, Options{Weighting: w, Normalize: true})
-			got := p.VectorizeBatch(texts, parallel)
-			for i := range texts {
-				if got[i].String() != want[i].String() {
-					t.Errorf("%s parallel=%d doc %d:\n got %s\nwant %s",
-						w, parallel, i, got[i], want[i])
-				}
-			}
-			if p.Lexicon().Size() != serial.Lexicon().Size() {
-				t.Errorf("%s parallel=%d: lexicon size %d != %d",
-					w, parallel, p.Lexicon().Size(), serial.Lexicon().Size())
-			}
-		}
 	}
 }
 

@@ -72,10 +72,11 @@ func Zero() *Sparse { return &Sparse{} }
 
 // Borrow wraps entries — already sorted by ascending index with no
 // duplicates, which is NOT validated — as a Sparse value without copying.
-// It exists for the streaming score path, where entries live in pooled
-// scratch: the view (and anything aliasing it) must not outlive the
-// entries it borrows, so it is returned by value for callers to place on
-// their own stack and never retain.
+// It exists for the query path, where entries live in pooled scratch: the
+// view (and anything aliasing it) must not outlive the entries it borrows,
+// so it is returned by value for callers to place in their own storage
+// and never retain. A protocol.Classifier receiving one in Predict clones
+// it before deferring the query.
 func Borrow(entries []Entry) Sparse { return Sparse{entries: entries} }
 
 // Len reports the number of stored (non-zero) entries.
