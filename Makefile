@@ -13,8 +13,11 @@ test:
 race:
 	go test -race -short ./...
 
+# perfbench is its own module over the root module's public API; vetting
+# it here fails fast when a root API change breaks the harness.
 vet:
 	go vet ./...
+	cd perfbench && go vet ./...
 
 # Formatting gate, a required CI step: passes only when gofmt would
 # change no file (`gofmt -l .` lists the offenders).
@@ -29,15 +32,15 @@ fmt:
 lint:
 	go run ./cmd/dmtvet ./...
 
-# Fuzz the decoders and the differential textproc pin: first replay the
+# Fuzz the decoders and the differential pins: first replay the
 # committed seed corpora of the wire and realnet decoders, the textproc
-# reference pin and the /v1/publish body parser (deterministic, what CI
-# runs on every push), then a short live fuzzing smoke against
-# ReadModelSet. Grow a corpus with
-# -fuzztime as needed; new crashers land under the package's
-# testdata/fuzz/ — commit them.
+# reference pin, the fused-layout scoring pin and the p2pserve body
+# parsers (deterministic, what CI runs on every push), then a short live
+# fuzzing smoke against ReadModelSet. Grow a corpus with -fuzztime as
+# needed; new crashers land under the package's testdata/fuzz/ — commit
+# them.
 fuzz:
-	go test ./internal/wire ./internal/realnet ./internal/textproc ./cmd/p2pserve -run 'Fuzz' -count=1
+	go test ./internal/wire ./internal/realnet ./internal/textproc ./internal/svm ./cmd/p2pserve -run 'Fuzz' -count=1
 	go test ./internal/wire -run '^$$' -fuzz 'FuzzReadModelSet' -fuzztime 10s
 
 check: fmt build vet lint race

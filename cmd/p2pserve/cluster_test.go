@@ -329,3 +329,67 @@ func TestClusterChaos(t *testing.T) {
 		t.Error("publisher transport counters show no frames sent")
 	}
 }
+
+// TestClusterRefreshRefused: a cluster member refuses POST /v1/refresh
+// with 409 — before and after it installs a published generation — and
+// keeps serving the generation its mesh agreed on: a local retrain would
+// diverge from the mesh.
+func TestClusterRefreshRefused(t *testing.T) {
+	o := clusterOptions()
+	build, queries, trainTexts, err := makeBuild(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := startClusterNode(t, o, build, trainTexts, testMesh(1, nil))
+	defer n.stop()
+	refresh := func(when string) {
+		t.Helper()
+		resp, err := http.Post(n.ts.URL+"/v1/refresh", "application/json", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusConflict {
+			t.Errorf("refresh %s: status %d, want 409", when, resp.StatusCode)
+		}
+	}
+	refresh("before publish")
+	resp, err := http.Post(n.ts.URL+"/v1/publish", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("publish: status %d", resp.StatusCode)
+	}
+	if n.installedSeq() != 1 {
+		t.Fatalf("publisher installed generation %d, want 1", n.installedSeq())
+	}
+	refresh("after publish")
+
+	set, err := realnet.TrainModelSet(trainTexts, 1, o.seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ens, err := realnet.NewEnsemble(o.threshold, o.maxTags, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes := queries[:min(6, len(queries))]
+	want, err := ens.AutoTagBatch(probes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range probes {
+		tags, err := n.a.pool.Tag(t.Context(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(tags) != fmt.Sprint(want[i]) {
+			t.Errorf("after refused refresh, %q answered %v, want the gossiped generation's %v", q, tags, want[i])
+		}
+	}
+	if st := n.a.pool.Stats(); st.Generation != 2 {
+		t.Errorf("pool generation %d, want 2 (initial + published)", st.Generation)
+	}
+}

@@ -58,3 +58,67 @@ func FuzzParsePublishDocs(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseTagBody drives arbitrary bytes at the /v1/tag body parser. It
+// must never panic, and an accepted text is never blank.
+func FuzzParseTagBody(f *testing.F) {
+	for _, body := range []string{
+		``,
+		`{"text":"a new album with a soft piano melody"}`,
+		`{"text":""}`,
+		`{"text":" \t\n"}`,
+		`{"text":null}`,
+		`{"text":7}`,
+		`{"text":"a"`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		r := httptest.NewRequest("POST", "/v1/tag", bytes.NewReader(body))
+		text, err := parseTagBody(r)
+		if err != nil {
+			if text != "" {
+				t.Fatalf("rejected body %q still returned text %q", body, text)
+			}
+			return
+		}
+		if strings.TrimSpace(text) == "" {
+			t.Fatalf("body %q accepted with blank text %q", body, text)
+		}
+	})
+}
+
+// FuzzParseBatchBody drives arbitrary bytes at the /v1/tag/batch body
+// parser. It must never panic; an accepted batch holds
+// 1..maxBatchRequestDocs texts, none of them blank.
+func FuzzParseBatchBody(f *testing.F) {
+	for _, body := range []string{
+		``,
+		`{"texts":["a new album","a flight to the island"]}`,
+		`{"texts":[]}`,
+		`{"texts":null}`,
+		`{"texts":["a song"," "]}`,
+		`{"texts":"a song"}`,
+		`{"texts":[`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		r := httptest.NewRequest("POST", "/v1/tag/batch", bytes.NewReader(body))
+		texts, err := parseBatchBody(r)
+		if err != nil {
+			if texts != nil {
+				t.Fatalf("rejected body %q still returned %d texts", body, len(texts))
+			}
+			return
+		}
+		if len(texts) < 1 || len(texts) > maxBatchRequestDocs {
+			t.Fatalf("accepted %d texts, want 1..%d", len(texts), maxBatchRequestDocs)
+		}
+		for i, text := range texts {
+			if strings.TrimSpace(text) == "" {
+				t.Fatalf("text %d accepted blank: %q", i, text)
+			}
+		}
+	})
+}

@@ -13,7 +13,9 @@
 //	                    -fail-fast, bounded by the request context and the
 //	                    1024-document per-request cap; on partial failure
 //	                    unanswerable rows are null — retry exactly those)
-//	POST /v1/refresh    retrain and swap in a new tagger generation, live
+//	POST /v1/refresh    standalone mode: retrain and swap in a new tagger
+//	                    generation, live (409 in cluster mode, where
+//	                    /v1/publish installs generations)
 //	POST /v1/publish    cluster mode: train a model generation, install it,
 //	                    and gossip it to every mesh peer (see cluster.go)
 //	GET  /v1/stats      serving counters, cache counters, swarm traffic;
@@ -27,12 +29,13 @@
 // peers through the same live-swap path — see cluster.go and the
 // "Distributed serving cluster" section of the package documentation.
 //
-// /v1/refresh rebuilds the pool with the same deterministic build the
-// process started with and atomically swaps it into the live dispatcher:
-// in-flight requests drain on the old generation, new requests run on the
-// new one, the result cache flushes, and no request is dropped. In a real
-// deployment the rebuild would fold in accumulated tag refinements; here
-// it demonstrates the live-swap machinery end to end.
+// /v1/refresh (standalone only) rebuilds the pool with the same
+// deterministic build the process started with and atomically swaps it
+// into the live dispatcher: in-flight requests drain on the old
+// generation, new requests run on the new one, the result cache flushes,
+// and no request is dropped. In a real deployment the rebuild would fold
+// in accumulated tag refinements; here it demonstrates the live-swap
+// machinery end to end.
 //
 // SIGINT/SIGTERM drain gracefully: /readyz flips to 503 first (so load
 // balancers stop routing), the listener stops accepting, in-flight and
@@ -238,19 +241,13 @@ type app struct {
 func (a *app) mux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/tag", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Text string `json:"text"`
-		}
 		r.Body = http.MaxBytesReader(w, r.Body, maxTagRequestBytes)
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		text, err := parseTagBody(r)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, err)
 			return
 		}
-		if strings.TrimSpace(req.Text) == "" {
-			httpError(w, http.StatusBadRequest, errors.New("empty text"))
-			return
-		}
-		tags, err := a.pool.Tag(r.Context(), req.Text)
+		tags, err := a.pool.Tag(r.Context(), text)
 		if err != nil {
 			writeTagError(w, err)
 			return
@@ -261,34 +258,17 @@ func (a *app) mux() *http.ServeMux {
 		writeJSON(w, http.StatusOK, map[string]any{"tags": tags})
 	})
 	mux.HandleFunc("POST /v1/tag/batch", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Texts []string `json:"texts"`
-		}
-		// The byte limit, not the document-count check below, is what
-		// actually bounds per-request memory: the decoder would otherwise
-		// materialize an arbitrarily large texts array before the count
-		// is ever examined.
+		// The byte limit, not parseBatchBody's document-count check, is
+		// what actually bounds per-request memory: the decoder would
+		// otherwise materialize an arbitrarily large texts array before
+		// the count is ever examined.
 		r.Body = http.MaxBytesReader(w, r.Body, maxBatchRequestBytes)
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		texts, err := parseBatchBody(r)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, err)
 			return
 		}
-		if len(req.Texts) == 0 {
-			httpError(w, http.StatusBadRequest, errors.New("empty texts"))
-			return
-		}
-		if len(req.Texts) > maxBatchRequestDocs {
-			httpError(w, http.StatusBadRequest,
-				fmt.Errorf("%d texts exceed the per-request limit of %d", len(req.Texts), maxBatchRequestDocs))
-			return
-		}
-		for i, text := range req.Texts {
-			if strings.TrimSpace(text) == "" {
-				httpError(w, http.StatusBadRequest, fmt.Errorf("empty text at index %d", i))
-				return
-			}
-		}
-		tags, err := a.pool.TagBatch(r.Context(), req.Texts)
+		tags, err := a.pool.TagBatch(r.Context(), texts)
 		if err != nil && !errors.Is(err, doctagger.ErrNoAnswer) {
 			writeTagError(w, err)
 			return
@@ -306,6 +286,13 @@ func (a *app) mux() *http.ServeMux {
 	mux.HandleFunc("POST /v1/refresh", func(w http.ResponseWriter, r *http.Request) {
 		if a.draining.Load() {
 			httpError(w, http.StatusServiceUnavailable, errors.New("draining"))
+			return
+		}
+		// A cluster member serves the generation its mesh agreed on; a
+		// local retrain would silently diverge from its peers.
+		if a.mesh != nil {
+			httpError(w, http.StatusConflict,
+				errors.New("cluster member: install a new generation with POST /v1/publish"))
 			return
 		}
 		// One retrain at a time, and no queue of them: a burst of refresh
@@ -355,6 +342,44 @@ func (a *app) mux() *http.ServeMux {
 		fmt.Fprintln(w, "ok")
 	})
 	return mux
+}
+
+// parseTagBody decodes a /v1/tag request body: one JSON object whose
+// text must be non-blank.
+func parseTagBody(r *http.Request) (string, error) {
+	var req struct {
+		Text string `json:"text"`
+	}
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		return "", fmt.Errorf("bad request body: %w", err)
+	}
+	if strings.TrimSpace(req.Text) == "" {
+		return "", errors.New("empty text")
+	}
+	return req.Text, nil
+}
+
+// parseBatchBody decodes a /v1/tag/batch request body:
+// 1..maxBatchRequestDocs texts, none of them blank.
+func parseBatchBody(r *http.Request) ([]string, error) {
+	var req struct {
+		Texts []string `json:"texts"`
+	}
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		return nil, fmt.Errorf("bad request body: %w", err)
+	}
+	if len(req.Texts) == 0 {
+		return nil, errors.New("empty texts")
+	}
+	if len(req.Texts) > maxBatchRequestDocs {
+		return nil, fmt.Errorf("%d texts exceed the per-request limit of %d", len(req.Texts), maxBatchRequestDocs)
+	}
+	for i, text := range req.Texts {
+		if strings.TrimSpace(text) == "" {
+			return nil, fmt.Errorf("empty text at index %d", i)
+		}
+	}
+	return req.Texts, nil
 }
 
 // writeTagError maps tagging errors onto HTTP statuses.

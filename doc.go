@@ -106,46 +106,48 @@
 //     models — identical text means identical tags for as long as one
 //     model generation serves. Cached answers are test-pinned
 //     byte-identical to uncached serial AutoTag.
-//   - Live model refresh (Server.Swap / Server.Refresh): a new identically
-//     trained tagger generation is installed under traffic — new shards
-//     start, the dispatcher switches between batches, old shards drain
-//     in-flight work and exit, the cache flushes so no answer outlives its
-//     models, and no accepted request is dropped. This is how
-//     (*Tagger).Refine reaches live serving: refine a retired (or freshly
-//     built) generation offline, then swap it in — the paper's "upon the
-//     refinement of tags, P2PDocTagger will automatically update the
-//     classification model(s)", made concurrent.
+//   - Live model refresh (Server.SwapEngines / Server.Refresh): a new
+//     generation is installed under traffic — new shards start, the
+//     dispatcher switches between batches, old shards drain in-flight work
+//     and exit, the cache flushes so no answer outlives its models, and no
+//     accepted request is dropped. Every generation is a pool of Engines
+//     (AutoTagBatch over texts, the minimal contract the dispatcher
+//     needs): a *Tagger is one, a realnet ensemble over gossiped model
+//     sets is another. NewEngineServer and SwapEngines are the one
+//     constructor and the one install path; NewReplicatedServer and
+//     Refresh build identical taggers and go through them, Refresh at the
+//     pool's current size whatever built the current generation. This is
+//     how (*Tagger).Refine reaches live serving: refine a retired (or
+//     freshly built) generation offline, then swap it in — the paper's
+//     "upon the refinement of tags, P2PDocTagger will automatically update
+//     the classification model(s)", made concurrent. Engines with a
+//     Stats() NetworkStats method (Taggers) feed ServerStats.Network.
 //   - Single-flight dedup (always on): concurrent Tag calls for identical
 //     text coalesce onto one in-flight swarm query per model generation;
 //     followers wait for the leader's answer instead of issuing their own
 //     (ServerStats.Coalesced counts them). Same soundness argument as the
-//     cache, same generation purity: Swap discards the in-flight table.
+//     cache, same generation purity: a swap discards the in-flight table.
+//
+// ServerStats.Issued exposes the serving accounting identity (Issued =
+// Served + CacheHits + Coalesced + Deduped), the invariant cluster tests
+// check per node.
 //
 // # Distributed serving cluster
 //
-// Serving is not tied to Taggers: Engine is the minimal contract the
-// dispatcher needs (AutoTagBatch over texts), NewEngineServer fronts any
-// engines with the same micro-batching/caching/backpressure machinery,
-// and Server.SwapEngines live-swaps a generation of them in — the same
-// drain/flush discipline as Swap, usable in either direction between
-// tagger-backed and generic generations. ServerStats.Issued exposes the
-// serving accounting identity (Issued = Served + CacheHits + Coalesced +
-// Deduped), the invariant cluster tests check per node.
-//
-// internal/realnet composes with this into a distributed serving cluster:
-// real TCP peers gossip whole model generations (wire-encoded calibrated
-// model sets, flooded with (sequence, origin) dedup and periodic
-// anti-entropy rebroadcast by the origin), and every node installs an
-// arriving generation through SwapEngines as a realnet.Ensemble — an
-// accuracy-weighted vote over the gossiped per-tag models, deterministic
-// in (corpus, seed), so every node answers byte-identically. The realnet
-// transport is hardened for that role: per-peer retry budgets with
-// seed-derived exponential backoff, dead-peer quarantine with re-probe,
-// per-frame read deadlines, frame corruption and sender-address
-// validation, bounded peer tables, and per-peer counters (sends, retries,
-// failures, frames and bytes in/out) surfaced through Node.Transport().
-// Publish and PublishGeneration report per-peer partial failure instead
-// of a single error.
+// internal/realnet composes with the Engine pool into a distributed
+// serving cluster: real TCP peers gossip whole model generations
+// (wire-encoded calibrated model sets, flooded with (sequence, origin)
+// dedup and periodic anti-entropy rebroadcast by the origin), and every
+// node installs an arriving generation through SwapEngines as a
+// realnet.Ensemble — an accuracy-weighted vote over the gossiped per-tag
+// models, deterministic in (corpus, seed), so every node answers
+// byte-identically. The realnet transport is hardened for that role:
+// per-peer retry budgets with seed-derived exponential backoff, dead-peer
+// quarantine with re-probe, per-frame read deadlines, frame corruption and
+// sender-address validation, bounded peer tables, and per-peer counters
+// (sends, retries, failures, frames and bytes in/out) surfaced through
+// Node.Transport(). Publish and PublishGeneration report per-peer partial
+// failure instead of a single error.
 //
 // cmd/p2pserve ties it together ("-mesh", "-mesh-join"): N processes form
 // a mesh, POST /v1/publish trains and floods a generation cluster-wide,
@@ -205,7 +207,7 @@
 //     8-wide blocked rows for shared-pool banks), so scoring T tags is one
 //     ascending pass over the document's non-zero entries instead of T dot
 //     products. The matrix is immutable derived data, rebuilt wherever the
-//     bank changes (retraining, Refine, serving Swap/Refresh).
+//     bank changes (retraining, Refine, serving SwapEngines/Refresh).
 //   - Cached kernel norms: RBF KernelModels precompute their support
 //     vectors' squared norms (KernelModel.Precompute, called at every
 //     construction site) and hoist the query norm, so each kernel
@@ -224,11 +226,11 @@
 // Every protocol has one query entry point, protocol.Classifier.Predict,
 // and the Tagger reaches it by one route: Preprocessor.VectorizeInto hands
 // the pooled, sorted, weighted entries to a vector.Borrow view, Predict
-// scores it (the local protocols via FusedLinear.ScoreInto into reused
-// scratch), and protocol.SelectTagsInto thresholds out of reused scratch,
-// so a whole local AutoTag runs in at most two allocations (the returned
-// tags). AutoTagBatch issues every row the same way and runs the network
-// once. These contracts make it safe:
+// scores it (the local protocols via FusedLinear.ScoreEntriesInto into
+// reused scratch), and protocol.SelectTagsInto thresholds out of reused
+// scratch, so a whole local AutoTag runs in at most two allocations (the
+// returned tags). AutoTagBatch issues every row the same way and runs
+// the network once. These contracts make it safe:
 //
 //   - Borrow contract: Predict's query is valid only until Predict
 //     returns, so a protocol that answers after the network runs clones

@@ -24,12 +24,17 @@ func (e *labelEngine) AutoTagBatch(texts []string) ([][]string, error) {
 	return out, nil
 }
 
+// TestNewEngineServerValidation: a generation must be non-empty, non-nil
+// (a typed-nil *Tagger included) and distinct.
 func TestNewEngineServerValidation(t *testing.T) {
 	if _, err := NewEngineServer(ServerConfig{}); err == nil {
 		t.Error("no engines accepted")
 	}
 	if _, err := NewEngineServer(ServerConfig{}, nil); err == nil {
 		t.Error("nil engine accepted")
+	}
+	if _, err := NewEngineServer(ServerConfig{}, (*Tagger)(nil)); err == nil {
+		t.Error("typed-nil tagger accepted")
 	}
 	e := &labelEngine{label: "v1"}
 	if _, err := NewEngineServer(ServerConfig{}, e, e); err == nil {
@@ -40,9 +45,10 @@ func TestNewEngineServerValidation(t *testing.T) {
 // TestEngineServerSwapsGenerations drives a generic-engine server through
 // a live SwapEngines: answers flip from the old generation's to the new
 // one's, nothing is dropped, installing an already-serving engine is
-// refused, Refresh (a tagger-only operation) is refused, and the serving
-// accounting identity Issued = Served + CacheHits + Coalesced + Deduped
-// holds against a client-side count of rows asked for.
+// refused, the serving accounting identity Issued = Served + CacheHits +
+// Coalesced + Deduped holds against a client-side count of rows asked
+// for, and Refresh over the engine generation installs taggers at the
+// same pool size.
 func TestEngineServerSwapsGenerations(t *testing.T) {
 	srv, err := NewEngineServer(ServerConfig{MaxBatch: 4, CacheSize: 64},
 		&labelEngine{label: "v1"}, &labelEngine{label: "v1"})
@@ -93,9 +99,6 @@ func TestEngineServerSwapsGenerations(t *testing.T) {
 	if err := srv.SwapEngines(v2[0], &labelEngine{label: "v3"}); err == nil {
 		t.Error("engine already serving was accepted into a new generation")
 	}
-	if _, err := srv.Refresh(func(int) (*Tagger, error) { return buildTrained(t), nil }); err == nil {
-		t.Error("Refresh succeeded on a generic engine generation")
-	}
 
 	st := srv.Stats()
 	if st.Generation != 2 || st.Shards != 2 {
@@ -111,15 +114,30 @@ func TestEngineServerSwapsGenerations(t *testing.T) {
 	if st.Network.Messages != 0 {
 		t.Errorf("generic engines reported swarm traffic: %+v", st.Network)
 	}
+
+	gen, err := srv.Refresh(func(int) (*Tagger, error) { return buildTrained(t), nil })
+	if err != nil {
+		t.Fatalf("Refresh over an engine generation: %v", err)
+	}
+	if st := srv.Stats(); gen != 3 || st.Generation != 3 || st.Shards != 2 {
+		t.Errorf("Refresh installed generation %d (stats %d) with %d shards, want 3/3/2", gen, st.Generation, st.Shards)
+	}
+	want, err := buildTrained(t).AutoTag(servingQueries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := srv.Tag(ctx, servingQueries[0]); err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("after Refresh, answered %v (%v), want the taggers' %v", got, err, want)
+	}
 }
 
-// TestSwapEnginesFromTaggerGeneration crosses the two worlds: a
-// tagger-backed server swaps to generic engines (retiring the taggers and
-// keeping their swarm traffic in Network) and then back to taggers (Swap
-// accepts them again, and Refresh works once more).
+// TestSwapEnginesFromTaggerGeneration: a tagger generation swaps to
+// generic engines (retiring the taggers and keeping their swarm traffic in
+// Network) and then back to taggers (the retiree is accepted again, and
+// Refresh rebuilds the pool).
 func TestSwapEnginesFromTaggerGeneration(t *testing.T) {
 	tg := buildTrained(t)
-	srv, err := NewServer(ServerConfig{}, tg)
+	srv, err := NewEngineServer(ServerConfig{}, tg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +167,7 @@ func TestSwapEnginesFromTaggerGeneration(t *testing.T) {
 	}
 
 	// Back to taggers: the previously retired tagger is reusable.
-	if _, err := srv.Swap(tg); err != nil {
+	if err := srv.SwapEngines(tg); err != nil {
 		t.Fatal(err)
 	}
 	want, err := tg.AutoTag(servingQueries[1])

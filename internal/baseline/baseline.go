@@ -149,7 +149,7 @@ func (c *Centralized) handle(self simnet.NodeID, m simnet.Message) {
 		q := m.Payload.(centralQuery)
 		scores := make(map[string]float64, len(c.models))
 		if c.fused != nil {
-			c.scoreBuf = c.fused.ScoreInto(q.x, c.scoreBuf)
+			c.scoreBuf = c.fused.ScoreEntriesInto(q.x.Entries(), c.scoreBuf)
 			for i, tag := range c.fused.Tags() {
 				scores[tag] = c.platt[tag].Prob(c.scoreBuf[i])
 			}
@@ -233,7 +233,7 @@ func (c *Centralized) Predict(from simnet.NodeID, x *vector.Sparse, cb func([]me
 		c.retrainIfDirty()
 		c.scored = c.scored[:0]
 		if c.fused != nil {
-			c.scoreBuf = c.fused.ScoreInto(x, c.scoreBuf)
+			c.scoreBuf = c.fused.ScoreEntriesInto(x.Entries(), c.scoreBuf)
 			for i, tag := range c.fused.Tags() {
 				c.scored = append(c.scored, metrics.ScoredTag{Tag: tag, Score: c.platt[tag].Prob(c.scoreBuf[i])})
 			}
@@ -376,7 +376,7 @@ func (l *Local) Predict(from simnet.NodeID, x *vector.Sparse, cb func([]metrics.
 		cb(nil, false)
 		return
 	}
-	l.scoreBuf = fu.ScoreInto(x, l.scoreBuf)
+	l.scoreBuf = fu.ScoreEntriesInto(x.Entries(), l.scoreBuf)
 	l.scored = l.scored[:0]
 	platt := l.platt[from]
 	for i, tag := range fu.Tags() {

@@ -186,10 +186,9 @@ func fusedAliased(info *types.Info, aliases map[types.Object]bool, e ast.Expr) b
 		return fusedAliased(info, aliases, e.X)
 	case *ast.CallExpr:
 		// A method on FusedLinear returning a slice hands out backing
-		// memory (Tags); value-returning methods (Score with dst=nil
-		// allocates fresh) do not — except ScoreInto, whose result may
-		// reuse the caller's own dst, which is the caller's memory, not
-		// the matrix's. Only slice results of receiver methods with no
+		// memory (Tags); ScoreEntriesInto's result is fresh or the
+		// caller's own dst, which is the caller's memory, not the
+		// matrix's. Only slice results of receiver methods with no
 		// arguments are treated as aliases.
 		if sel, ok := ast.Unparen(e.Fun).(*ast.SelectorExpr); ok && len(e.Args) == 0 && fusedReceiver(info, sel.X) {
 			if t := info.TypeOf(e); t != nil {

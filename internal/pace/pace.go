@@ -411,7 +411,7 @@ func (s *System) Predict(from simnet.NodeID, x *vector.Sparse, cb func([]metrics
 		// x; its Tags() are sorted, preserving the historical per-tag
 		// iteration order.
 		proximity := 1 / (1 + sl.dist)
-		s.scoreBuf = sl.ms.fused.ScoreInto(x, s.scoreBuf)
+		s.scoreBuf = sl.ms.fused.ScoreEntriesInto(x.Entries(), s.scoreBuf)
 		for i, tag := range sl.ms.fused.Tags() {
 			w := (sl.ms.accuracy[tag] - 0.5) * proximity
 			if w <= 0 {

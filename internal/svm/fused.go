@@ -241,11 +241,11 @@ func (f *FusedLinear) Layout() Layout {
 // tag in one ascending pass over the document's entries, writing the
 // results into dst (grown if needed) indexed like Tags(). The entries
 // must be sorted by ascending feature id with no duplicates — the
-// vector.Sparse invariant — and are only read, never retained: this is
-// the streaming terminal's entry point, fed directly from pooled
-// preprocessing scratch without materializing a *vector.Sparse. It
-// allocates only when dst is too small; pass a reused buffer for a
-// zero-allocation steady state.
+// vector.Sparse invariant — and are only read, never retained. This is
+// the one scoring entry point: the streaming terminal feeds it pooled
+// preprocessing scratch directly, and a materialized *vector.Sparse
+// passes its Entries(). It allocates only when dst is too small; pass a
+// reused buffer for a zero-allocation steady state.
 func (f *FusedLinear) ScoreEntriesInto(entries []vector.Entry, dst []float64) []float64 {
 	nt := len(f.tags)
 	need := nt
@@ -353,14 +353,4 @@ func (f *FusedLinear) ScoreEntriesInto(entries []vector.Entry, dst []float64) []
 		dst[i] += f.bias[i]
 	}
 	return dst
-}
-
-// ScoreInto is ScoreEntriesInto over a materialized sparse vector.
-func (f *FusedLinear) ScoreInto(x *vector.Sparse, dst []float64) []float64 {
-	return f.ScoreEntriesInto(x.Entries(), dst)
-}
-
-// Score is ScoreInto with a fresh result slice.
-func (f *FusedLinear) Score(x *vector.Sparse) []float64 {
-	return f.ScoreInto(x, nil)
 }

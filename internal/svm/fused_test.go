@@ -40,8 +40,8 @@ func randBank(rng *rand.Rand, tags, dim int, fill float64) map[string]*LinearMod
 }
 
 // TestFusedScoresPinnedToDecision is the fused-scoring identity pin: for
-// random banks and documents, under automatic layout selection, ScoreInto
-// must equal per-tag Decision on exact float64 comparison — same
+// random banks and documents, under automatic layout selection,
+// ScoreEntriesInto must equal per-tag Decision on exact float64 comparison — same
 // accumulation order, not a tolerance — and the auto rule must pick the
 // expected layout for each bank shape.
 func TestFusedScoresPinnedToDecision(t *testing.T) {
@@ -71,7 +71,7 @@ func TestFusedScoresPinnedToDecision(t *testing.T) {
 		var buf []float64
 		for q := 0; q < 8; q++ {
 			x := randSparse(rng, 300, 1+rng.Intn(40))
-			buf = f.ScoreInto(x, buf)
+			buf = f.ScoreEntriesInto(x.Entries(), buf)
 			for i, tag := range f.Tags() {
 				want := bank[tag].Decision(x)
 				if buf[i] != want {
@@ -104,7 +104,7 @@ func TestFusedLayoutsPinnedToDecision(t *testing.T) {
 			for q := 0; q < 6; q++ {
 				x := randSparse(rng, 280, 1+rng.Intn(50))
 				for i, f := range fused {
-					bufs[i] = f.ScoreInto(x, bufs[i])
+					bufs[i] = f.ScoreEntriesInto(x.Entries(), bufs[i])
 					if len(bufs[i]) != nt {
 						t.Fatalf("layout %v: %d scores for %d tags", layouts[i], len(bufs[i]), nt)
 					}
@@ -124,21 +124,21 @@ func TestFusedLayoutsPinnedToDecision(t *testing.T) {
 }
 
 // TestScoreEntriesIntoStreaming: the streaming terminal over raw entries
-// equals ScoreInto over the materialized vector, including entries beyond
-// every model's dimension and the empty document.
+// equals per-tag Decision over the materialized vector, reusing one
+// buffer across documents, including entries beyond every model's
+// dimension and the empty document.
 func TestScoreEntriesIntoStreaming(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	bank := randBank(rng, 12, 128, 0.8)
 	for _, l := range []Layout{LayoutCSR, LayoutDense, LayoutBlocked} {
 		f := NewFusedLinearLayout(bank, l)
-		var a, b []float64
+		var b []float64
 		for q := 0; q < 10; q++ {
 			x := randSparse(rng, 400, 1+rng.Intn(60))
-			a = f.ScoreInto(x, a)
 			b = f.ScoreEntriesInto(x.Entries(), b)
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("layout %v: ScoreEntriesInto[%d]=%v != ScoreInto %v", l, i, b[i], a[i])
+			for i, tag := range f.Tags() {
+				if want := bank[tag].Decision(x); b[i] != want {
+					t.Fatalf("layout %v tag %s: ScoreEntriesInto %v != Decision %v", l, tag, b[i], want)
 				}
 			}
 		}
@@ -163,14 +163,14 @@ func TestFusedEdgeCases(t *testing.T) {
 	}
 	f := NewFusedLinear(bank)
 	empty := vector.Zero()
-	got := f.Score(empty)
+	got := f.ScoreEntriesInto(empty.Entries(), nil)
 	for i, tag := range f.Tags() {
 		if want := bank[tag].Decision(empty); got[i] != want {
 			t.Errorf("empty doc, tag %s: %v != %v", tag, got[i], want)
 		}
 	}
 	wide, _ := vector.New([]int32{1, 2, 500}, []float64{2, 3, 4})
-	got = f.Score(wide)
+	got = f.ScoreEntriesInto(wide.Entries(), nil)
 	for i, tag := range f.Tags() {
 		if want := bank[tag].Decision(wide); got[i] != want {
 			t.Errorf("wide doc, tag %s: %v != %v", tag, got[i], want)
@@ -299,7 +299,7 @@ func BenchmarkFusedScoring(b *testing.B) {
 			buf := make([]float64, tags)
 			var sink float64
 			for i := 0; i < b.N; i++ {
-				buf = f.ScoreInto(doc, buf)
+				buf = f.ScoreEntriesInto(doc.Entries(), buf)
 				sink += buf[0]
 			}
 			if math.IsNaN(sink) {
@@ -331,7 +331,7 @@ func BenchmarkFusedLayouts(b *testing.B) {
 			buf := make([]float64, 0, tags+blockWidth)
 			var sink float64
 			for i := 0; i < b.N; i++ {
-				buf = f.ScoreInto(doc, buf)
+				buf = f.ScoreEntriesInto(doc.Entries(), buf)
 				sink += buf[0]
 			}
 			if math.IsNaN(sink) {

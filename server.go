@@ -29,9 +29,9 @@ type ServerConfig struct {
 	// CacheSize bounds the request-level result cache; 0 disables it.
 	// Repeated queries for identical text are answered from a sharded LRU
 	// without re-entering the swarm — sound because queries never feed
-	// back into the models. The cache flushes whenever Swap or Refresh
-	// installs a new tagger generation, so a cached answer never outlives
-	// the models that produced it.
+	// back into the models. The cache flushes whenever SwapEngines or
+	// Refresh installs a new generation, so a cached answer never
+	// outlives the models that produced it.
 	CacheSize int
 }
 
@@ -40,10 +40,13 @@ type ServerConfig struct {
 // are nil, and the returned error wraps the underlying cause of the first
 // failed row. Engines need not be safe for concurrent use — the Server
 // drives each shard engine on exactly one goroutine. A *Tagger is an
-// Engine; NewEngineServer and SwapEngines accept any other implementation
-// (for example an ensemble over gossiped model sets), which is how a
-// distributed cluster installs model generations that did not come from a
-// local Tagger.
+// Engine; so is any other implementation (for example an ensemble over
+// gossiped model sets), which is how a distributed cluster installs model
+// generations that did not come from a local Tagger.
+//
+// An engine that also has a Stats() NetworkStats method (a *Tagger does)
+// reports the traffic of a swarm behind it; the Server aggregates that
+// traffic into ServerStats.Network. Engines without one count zero.
 type Engine interface {
 	AutoTagBatch(texts []string) ([][]string, error)
 }
@@ -60,46 +63,19 @@ var (
 // BatchBucket is one bin of the batch-size histogram: Count batches had a
 // size <= Le (and above the previous bucket's bound); Le 0 means
 // unbounded.
-type BatchBucket struct {
-	Le    int
-	Count int64
-}
+type BatchBucket = serving.BatchBucket
 
-// ServerStats snapshots a Server's counters: request/batch accounting from
-// the dispatcher, cache performance, the model generation, plus the
-// simulated swarms' aggregate traffic.
+// ServerStats snapshots a Server's counters. The embedded dispatcher
+// snapshot carries the pool size and generation (Shards, Generation), the
+// request accounting (Requests, Served, Errors, Rejected, Deduped,
+// Coalesced, and Issued = Served + CacheHits + Coalesced + Deduped), the
+// batching counters (Batches, BatchedDocs, MeanBatchSize, MaxBatchSeen,
+// BatchSizeHist), queue waits (QueueWaitTotal, QueueWaitMax,
+// MeanQueueWait) and the cache counters (CacheHits, CacheMisses,
+// CacheEvictions, CacheEntries, CacheCapacity; all zero with the cache
+// off). Network adds the swarms' aggregate traffic.
 type ServerStats struct {
-	// Shards is the tagger pool size of the current generation.
-	Shards int
-	// Generation counts tagger pools installed so far: 1 at NewServer,
-	// +1 per successful Swap/Refresh.
-	Generation int64
-	// Requests counts accepted submissions; Served counts completed ones
-	// (failures included); Errors counts requests answered with an error;
-	// Rejected counts fail-fast rejections; Deduped counts TagBatch rows
-	// answered by intra-batch deduplication; Coalesced counts Tag calls
-	// answered by single-flight dedup of concurrent identical misses
-	// (rows issued = Served + CacheHits + Coalesced + Deduped).
-	Requests, Served, Errors, Rejected, Deduped, Coalesced int64
-	// Issued is the total number of answer rows handed to callers, however
-	// produced: Issued = Served + CacheHits + Coalesced + Deduped, the
-	// serving accounting identity. Clients that count the rows they asked
-	// for can check it against any node's snapshot.
-	Issued int64
-	// Batches counts AutoTagBatch invocations, BatchedDocs sums their
-	// sizes; MeanBatchSize is their ratio and MaxBatchSeen the largest
-	// batch dispatched.
-	Batches, BatchedDocs int64
-	MeanBatchSize        float64
-	MaxBatchSeen         int
-	// BatchSizeHist bins batch sizes into power-of-two buckets.
-	BatchSizeHist []BatchBucket
-	// QueueWait* aggregate time spent between submission and the start of
-	// the batch's engine call.
-	QueueWaitTotal, QueueWaitMax, MeanQueueWait time.Duration
-	// Cache counters; all zero when ServerConfig.CacheSize is 0.
-	CacheHits, CacheMisses, CacheEvictions int64
-	CacheEntries, CacheCapacity            int
+	serving.Stats
 	// Network aggregates the simulated traffic every shard's swarm
 	// generated while serving under this Server, retired generations
 	// included (traffic from before a generation's install — training,
@@ -108,11 +84,11 @@ type ServerStats struct {
 	Network NetworkStats
 }
 
-// Server is the concurrent serving front-end over a pool of trained
-// Taggers: many goroutines submit single documents, a micro-batching
-// dispatcher coalesces them into AutoTagBatch calls fanned across the pool.
-// A Tagger alone is not safe for concurrent use; a Server is — each shard
-// is driven by exactly one goroutine.
+// Server is the concurrent serving front-end over a pool of engines —
+// usually trained Taggers: many goroutines submit single documents, a
+// micro-batching dispatcher coalesces them into AutoTagBatch calls fanned
+// across the pool. A Tagger alone is not safe for concurrent use; a
+// Server is — each shard is driven by exactly one goroutine.
 //
 // Shards answer interchangeably, so they must be identically trained (same
 // Config including Seed, same documents). Identically trained shards give
@@ -123,78 +99,52 @@ type ServerStats struct {
 // property is what makes the optional result cache (ServerConfig.CacheSize)
 // sound: within one generation, identical text means identical tags.
 //
-// The pool is not frozen at build time: Swap and Refresh install a new
-// tagger generation under live traffic — this is how (*Tagger).Refine
+// The pool is not frozen at build time: SwapEngines and Refresh install a
+// new generation under live traffic — this is how (*Tagger).Refine
 // reaches live serving. Refine a retired (or freshly built) generation
 // offline, then swap it in; in-flight requests drain on the old models and
 // the cache flushes.
 type Server struct {
 	inner *serving.Server
 
-	refreshMu sync.Mutex // serializes Swap/SwapEngines/Refresh
+	refreshMu sync.Mutex // serializes SwapEngines/Refresh
 
-	mu sync.Mutex // guards engines, taggers, baselines and retired
-	// engines is the currently serving generation, whatever built it; used
-	// to refuse installing an engine that is already serving. taggers is
-	// non-nil only when the generation came from NewServer/Swap/Refresh —
-	// generic engine generations (NewEngineServer, SwapEngines) have no
-	// swarm traffic to aggregate, so Stats' Network covers tagger
-	// generations only.
+	mu sync.Mutex // guards engines, baselines and retired
+	// engines is the currently serving generation; used to refuse
+	// installing an engine that is already serving.
 	engines []Engine
-	taggers []*Tagger
-	// baselines[i] is taggers[i]'s cumulative swarm traffic at the moment
-	// it was installed; Stats counts only the excess, so Network is the
-	// traffic generated while serving under this Server — uniformly
-	// across generations, whether a tagger arrived fresh or is a
-	// swapped-back retiree (whose earlier service is in retired already).
-	// retired accumulates the while-installed traffic of swapped-out
-	// generations, keeping Network cumulative across refreshes without
-	// retaining references to dead generations.
+	// baselines[i] is engines[i]'s cumulative swarm traffic at the moment
+	// it was installed; only the excess counts, so Network is the traffic
+	// generated while serving under this Server — uniformly across
+	// generations, whether an engine arrived fresh or is a swapped-back
+	// retiree (whose earlier service is in retired already). retired
+	// accumulates the while-installed traffic of swapped-out generations,
+	// keeping Network cumulative across swaps without retaining
+	// references to dead generations.
 	baselines []NetworkStats
 	retired   NetworkStats
 }
 
-// NewServer builds a Server over already-trained taggers, one shard per
-// tagger. The taggers must be distinct instances (the Server assumes
-// exclusive ownership of each) and should be identically trained; see the
-// Server doc. At least one tagger is required.
-func NewServer(cfg ServerConfig, taggers ...*Tagger) (*Server, error) {
-	engines, err := poolEngines(taggers)
-	if err != nil {
-		return nil, err
-	}
-	inner, err := serving.New(servingConfig(cfg), engines...)
-	if err != nil {
-		return nil, err
-	}
-	return &Server{
-		inner:     inner,
-		engines:   taggerEngines(taggers),
-		taggers:   append([]*Tagger(nil), taggers...),
-		baselines: installBaselines(taggers),
-	}, nil
-}
-
-// NewEngineServer builds a Server over arbitrary batch engines, one shard
-// per engine — the generic face of NewServer for generations that did not
-// come from local Taggers (a realnet ensemble over gossiped model sets,
-// say). The engines must be distinct instances and must answer
-// interchangeably; the Server assumes exclusive ownership of each. The
-// serving semantics (batching, caching, dedup, Swap draining) are exactly
-// those of a tagger-backed Server; only the Network traffic aggregation is
-// absent, since generic engines have no simulated swarm behind them.
+// NewEngineServer builds a Server over already-trained engines, one shard
+// per engine — Taggers, or generations that did not come from local
+// Taggers (a realnet ensemble over gossiped model sets, say). The engines
+// must be distinct instances (the Server assumes exclusive ownership of
+// each) and must answer interchangeably; see the Server doc. At least one
+// engine is required, and a *Tagger must be trained.
 func NewEngineServer(cfg ServerConfig, engines ...Engine) (*Server, error) {
-	adapted, err := genericEngines(engines)
+	adapted, err := validEngines(engines)
 	if err != nil {
 		return nil, err
 	}
+	baselines := trafficBaselines(engines)
 	inner, err := serving.New(servingConfig(cfg), adapted...)
 	if err != nil {
 		return nil, err
 	}
 	return &Server{
-		inner:   inner,
-		engines: append([]Engine(nil), engines...),
+		inner:     inner,
+		engines:   append([]Engine(nil), engines...),
+		baselines: baselines,
 	}, nil
 }
 
@@ -208,29 +158,24 @@ func servingConfig(cfg ServerConfig) serving.Config {
 	}
 }
 
-// taggerEngines views a tagger pool as its engine slice.
-func taggerEngines(taggers []*Tagger) []Engine {
-	engines := make([]Engine, len(taggers))
-	for i, tg := range taggers {
-		engines[i] = tg
-	}
-	return engines
-}
-
-// genericEngines validates an engine generation — non-empty, non-nil,
-// distinct — and adapts it to the serving layer.
-func genericEngines(engines []Engine) ([]serving.Engine, error) {
+// validEngines validates a generation — non-empty, non-nil (a typed-nil
+// *Tagger included), distinct, and trained where an engine is a *Tagger —
+// and adapts it to the serving layer.
+func validEngines(engines []Engine) ([]serving.Engine, error) {
 	if len(engines) == 0 {
 		return nil, errors.New("doctagger: a server pool needs at least one engine")
 	}
 	adapted := make([]serving.Engine, len(engines))
 	seen := make(map[Engine]bool, len(engines))
 	for i, e := range engines {
-		if e == nil {
+		tg, isTagger := e.(*Tagger)
+		switch {
+		case e == nil || isTagger && tg == nil:
 			return nil, fmt.Errorf("doctagger: shard %d is nil", i)
-		}
-		if seen[e] {
+		case seen[e]:
 			return nil, fmt.Errorf("doctagger: shard %d reuses another shard's engine", i)
+		case isTagger && !tg.trained:
+			return nil, fmt.Errorf("doctagger: shard %d is not trained", i)
 		}
 		seen[e] = true
 		adapted[i] = e
@@ -238,38 +183,36 @@ func genericEngines(engines []Engine) ([]serving.Engine, error) {
 	return adapted, nil
 }
 
-// installBaselines snapshots each tagger's cumulative traffic at install
+// traffic reads an engine's cumulative swarm traffic; engines without a
+// Stats() NetworkStats method count zero.
+func traffic(e Engine) NetworkStats {
+	if s, ok := e.(interface{ Stats() NetworkStats }); ok {
+		return s.Stats()
+	}
+	return NetworkStats{}
+}
+
+// trafficBaselines snapshots each engine's cumulative traffic at install
 // time; only traffic beyond it counts toward the server's Network stats.
-func installBaselines(taggers []*Tagger) []NetworkStats {
-	baselines := make([]NetworkStats, len(taggers))
-	for i, tg := range taggers {
-		baselines[i] = tg.Stats()
+func trafficBaselines(engines []Engine) []NetworkStats {
+	baselines := make([]NetworkStats, len(engines))
+	for i, e := range engines {
+		baselines[i] = traffic(e)
 	}
 	return baselines
 }
 
-// poolEngines validates a tagger generation — non-empty, non-nil,
-// distinct, trained — and adapts it to the serving layer.
-func poolEngines(taggers []*Tagger) ([]serving.Engine, error) {
-	if len(taggers) == 0 {
-		return nil, errors.New("doctagger: a server pool needs at least one tagger")
+// networkLocked is the traffic generated while serving under this
+// Server: the retired generations' plus the live generation's above its
+// install baselines. The caller holds s.mu.
+func (s *Server) networkLocked() NetworkStats {
+	n := s.retired
+	for i, e := range s.engines {
+		ns := traffic(e)
+		n.Messages += ns.Messages - s.baselines[i].Messages
+		n.Bytes += ns.Bytes - s.baselines[i].Bytes
 	}
-	engines := make([]serving.Engine, len(taggers))
-	seen := make(map[*Tagger]bool, len(taggers))
-	for i, tg := range taggers {
-		if tg == nil {
-			return nil, fmt.Errorf("doctagger: shard %d is nil", i)
-		}
-		if seen[tg] {
-			return nil, fmt.Errorf("doctagger: shard %d reuses another shard's Tagger", i)
-		}
-		seen[tg] = true
-		if !tg.trained {
-			return nil, fmt.Errorf("doctagger: shard %d is not trained", i)
-		}
-		engines[i] = tg
-	}
-	return engines, nil
+	return n
 }
 
 // NewReplicatedServer builds shards identical taggers with build (called
@@ -281,25 +224,25 @@ func NewReplicatedServer(shards int, cfg ServerConfig, build func(shard int) (*T
 	if shards < 1 {
 		return nil, fmt.Errorf("doctagger: %d shards < 1", shards)
 	}
-	taggers, err := buildGeneration(shards, build)
+	engines, err := buildGeneration(shards, build)
 	if err != nil {
 		return nil, err
 	}
-	return NewServer(cfg, taggers...)
+	return NewEngineServer(cfg, engines...)
 }
 
 // buildGeneration builds one tagger per shard with build, wrapping any
 // failure with its shard index.
-func buildGeneration(shards int, build func(shard int) (*Tagger, error)) ([]*Tagger, error) {
-	taggers := make([]*Tagger, shards)
-	for i := range taggers {
+func buildGeneration(shards int, build func(shard int) (*Tagger, error)) ([]Engine, error) {
+	engines := make([]Engine, shards)
+	for i := range engines {
 		tg, err := build(i)
 		if err != nil {
 			return nil, fmt.Errorf("doctagger: building shard %d: %w", i, err)
 		}
-		taggers[i] = tg
+		engines[i] = tg
 	}
-	return taggers, nil
+	return engines, nil
 }
 
 // Tag submits one document and blocks until the swarm answers, ctx is
@@ -319,75 +262,45 @@ func (s *Server) TagBatch(ctx context.Context, texts []string) ([][]string, erro
 	return s.inner.TagBatch(ctx, texts)
 }
 
-// Swap installs taggers as the new serving generation under live traffic
-// and returns the retired generation, fully drained and safe to reuse —
-// refine it offline and swap it back in later. In-flight and queued
-// requests are never dropped: they are answered by whichever generation
-// their batch dispatches to, and the result cache flushes so no cached
-// answer outlives its models. The new taggers are validated like
-// NewServer's and must not still be serving (a tagger can be in at most
-// one live generation, since each shard is driven by its own goroutine).
-func (s *Server) Swap(taggers ...*Tagger) ([]*Tagger, error) {
-	s.refreshMu.Lock()
-	defer s.refreshMu.Unlock()
-	//dmtvet:allow lockdiscipline refreshMu serializes generation changes; its critical section is the drain itself, and request paths never take it
-	return s.swapLocked(taggers)
-}
-
-// swapLocked is Swap's body; the caller holds refreshMu.
-func (s *Server) swapLocked(taggers []*Tagger) ([]*Tagger, error) {
-	engines, err := poolEngines(taggers)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.checkNotServing(taggerEngines(taggers)); err != nil {
-		return nil, err
-	}
-	// Snapshot the incoming generation's baselines before it can serve a
-	// single request (the dispatcher switches inside inner.Swap, which
-	// also waits out the old generation's drain — traffic served during
-	// that window must not disappear into the baseline).
-	newBaselines := installBaselines(taggers)
-	if err := s.inner.Swap(engines...); err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	old := s.taggers
-	s.retireLocked()
-	s.engines = taggerEngines(taggers)
-	s.taggers = append([]*Tagger(nil), taggers...)
-	s.baselines = newBaselines
-	s.mu.Unlock()
-	return old, nil
-}
-
-// SwapEngines installs arbitrary batch engines as the new serving
-// generation under live traffic, with the same drain/flush guarantees as
-// Swap: no accepted request is dropped and no cached answer outlives the
-// generation that produced it. This is the install path for generations
-// that did not come from local Taggers — a cluster node receiving a
-// gossiped model generation wraps it per shard and swaps it in here. The
-// engines are validated like NewEngineServer's and must not already be
-// serving. A retiring tagger generation's swarm traffic stays in the
-// Network stats; the retired taggers themselves are the caller's to keep.
+// SwapEngines installs engines as the new serving generation under live
+// traffic. In-flight and queued requests are never dropped: they are
+// answered by whichever generation their batch dispatches to, and the
+// result cache flushes so no cached answer outlives its models. The
+// engines are validated like NewEngineServer's and must not still be
+// serving (an engine can be in at most one live generation, since each
+// shard is driven by its own goroutine). The retired generation is fully
+// drained when SwapEngines returns: its engines are the caller's to keep
+// — refine retired taggers offline and swap them back in later — and its
+// swarm traffic stays in the Network stats. A cluster node receiving a
+// gossiped model generation wraps it per shard and swaps it in here.
 func (s *Server) SwapEngines(engines ...Engine) error {
 	s.refreshMu.Lock()
 	defer s.refreshMu.Unlock()
-	adapted, err := genericEngines(engines)
+	//dmtvet:allow lockdiscipline refreshMu serializes generation changes; its critical section is the drain itself, and request paths never take it
+	return s.swapLocked(engines)
+}
+
+// swapLocked is SwapEngines' body; the caller holds refreshMu.
+func (s *Server) swapLocked(engines []Engine) error {
+	adapted, err := validEngines(engines)
 	if err != nil {
 		return err
 	}
 	if err := s.checkNotServing(engines); err != nil {
 		return err
 	}
-	//dmtvet:allow lockdiscipline refreshMu serializes generation changes; its critical section is the drain itself, and request paths never take it
+	// Snapshot the incoming generation's baselines before it can serve a
+	// single request (the dispatcher switches inside inner.Swap, which
+	// also waits out the old generation's drain — traffic served during
+	// that window must not disappear into the baseline).
+	baselines := trafficBaselines(engines)
 	if err := s.inner.Swap(adapted...); err != nil {
 		return err
 	}
 	s.mu.Lock()
-	s.retireLocked()
+	s.retired = s.networkLocked()
 	s.engines = append([]Engine(nil), engines...)
-	s.taggers, s.baselines = nil, nil
+	s.baselines = baselines
 	s.mu.Unlock()
 	return nil
 }
@@ -410,24 +323,14 @@ func (s *Server) checkNotServing(engines []Engine) error {
 	return nil
 }
 
-// retireLocked folds the outgoing tagger generation's while-installed
-// swarm traffic into retired; a no-op for generic engine generations. The
-// caller holds s.mu.
-func (s *Server) retireLocked() {
-	for i, tg := range s.taggers {
-		ns := tg.Stats()
-		s.retired.Messages += ns.Messages - s.baselines[i].Messages
-		s.retired.Bytes += ns.Bytes - s.baselines[i].Bytes
-	}
-}
-
-// Refresh rebuilds the pool with build (called with each shard index, like
-// NewReplicatedServer) and swaps the new generation in under live traffic.
-// This is the serving face of tag refinement: refinements applied to a
-// fresh training round reach live queries here, without restarting the
-// server or dropping a request. The retired taggers are discarded; use
-// Swap directly to keep them. Concurrent Refresh calls serialize around
-// the whole rebuild, not just the swap, so retrains never run
+// Refresh rebuilds the pool at its current size with build (called with
+// each shard index, like NewReplicatedServer) and swaps the new tagger
+// generation in under live traffic, whatever built the current one. This
+// is the serving face of tag refinement: refinements applied to a fresh
+// training round reach live queries here, without restarting the server
+// or dropping a request. The retired engines are discarded; use
+// SwapEngines directly to keep them. Concurrent Refresh calls serialize
+// around the whole rebuild, not just the swap, so retrains never run
 // concurrently; each queued caller still performs its own rebuild once
 // the lock frees (back-to-back installs, not wasted parallel ones).
 // Refresh reports the generation number it installed — read it from the
@@ -437,21 +340,18 @@ func (s *Server) Refresh(build func(shard int) (*Tagger, error)) (int64, error) 
 	s.refreshMu.Lock()
 	defer s.refreshMu.Unlock()
 	s.mu.Lock()
-	shards := len(s.taggers)
+	shards := len(s.engines)
 	s.mu.Unlock()
-	if shards == 0 {
-		return 0, errors.New("doctagger: current generation is not tagger-backed; use Swap or SwapEngines")
-	}
-	taggers, err := buildGeneration(shards, build)
+	engines, err := buildGeneration(shards, build)
 	if err != nil {
 		return 0, err
 	}
 	//dmtvet:allow lockdiscipline refreshMu serializes generation changes; its critical section is the drain itself, and request paths never take it
-	if _, err := s.swapLocked(taggers); err != nil {
+	if err := s.swapLocked(engines); err != nil {
 		return 0, err
 	}
-	// Stable while refreshMu is held: no other Swap/Refresh can advance
-	// the generation underneath us.
+	// Stable while refreshMu is held: no other SwapEngines/Refresh can
+	// advance the generation underneath us.
 	return s.inner.Stats().Generation, nil
 }
 
@@ -459,46 +359,15 @@ func (s *Server) Refresh(build func(shard int) (*Tagger, error)) (int64, error) 
 // traffic the shards' swarms generated while serving (retired generations
 // included). Safe to call while the server is running.
 func (s *Server) Stats() ServerStats {
-	st := s.inner.Stats()
-	out := ServerStats{
-		Shards:         st.Shards,
-		Generation:     st.Generation,
-		Requests:       st.Requests,
-		Served:         st.Served,
-		Errors:         st.Errors,
-		Rejected:       st.Rejected,
-		Deduped:        st.Deduped,
-		Coalesced:      st.Coalesced,
-		Issued:         st.Issued,
-		Batches:        st.Batches,
-		BatchedDocs:    st.BatchedDocs,
-		MeanBatchSize:  st.MeanBatchSize,
-		MaxBatchSeen:   st.MaxBatchSeen,
-		QueueWaitTotal: st.QueueWaitTotal,
-		QueueWaitMax:   st.QueueWaitMax,
-		MeanQueueWait:  st.MeanQueueWait,
-		CacheHits:      st.CacheHits,
-		CacheMisses:    st.CacheMisses,
-		CacheEvictions: st.CacheEvictions,
-		CacheEntries:   st.CacheEntries,
-		CacheCapacity:  st.CacheCapacity,
-	}
-	out.BatchSizeHist = make([]BatchBucket, len(st.BatchSizeHist))
-	for i, b := range st.BatchSizeHist {
-		out.BatchSizeHist[i] = BatchBucket{Le: b.Le, Count: b.Count}
-	}
-	// Aggregate under the lock: a concurrent Swap retires taggers and
+	out := ServerStats{Stats: s.inner.Stats()}
+	// Aggregate under the lock: a concurrent swap retires engines and
 	// folds their traffic into retired, and the retirees' owner may
-	// refine them immediately after — reading tg.Stats() on a stale
-	// snapshot would attribute that offline traffic here. tg.Stats() is
-	// a cheap counter read, so holding mu across the loop is fine.
+	// refine them immediately after — reading their traffic on a stale
+	// snapshot would attribute that offline traffic here. Reading an
+	// engine's traffic is a cheap counter read, so holding mu across the
+	// loop is fine.
 	s.mu.Lock()
-	out.Network = s.retired
-	for i, tg := range s.taggers {
-		ns := tg.Stats()
-		out.Network.Messages += ns.Messages - s.baselines[i].Messages
-		out.Network.Bytes += ns.Bytes - s.baselines[i].Bytes
-	}
+	out.Network = s.networkLocked()
 	s.mu.Unlock()
 	return out
 }

@@ -50,22 +50,19 @@ var servingQueries = []string{
 	"grill the steak with garlic sauce",
 }
 
+// TestNewServerValidation: a tagger generation — given directly or built
+// by NewReplicatedServer — must hold trained, distinct taggers, and a
+// build (at construction or on Refresh) must yield one or an error.
 func TestNewServerValidation(t *testing.T) {
-	if _, err := NewServer(ServerConfig{}); err == nil {
-		t.Error("no taggers accepted")
-	}
-	if _, err := NewServer(ServerConfig{}, nil); err == nil {
-		t.Error("nil tagger accepted")
-	}
 	untrained, err := New(Config{Peers: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewServer(ServerConfig{}, untrained); err == nil {
+	if _, err := NewEngineServer(ServerConfig{}, untrained); err == nil {
 		t.Error("untrained tagger accepted")
 	}
 	trained := buildTrained(t)
-	if _, err := NewServer(ServerConfig{}, trained, trained); err == nil {
+	if _, err := NewEngineServer(ServerConfig{}, trained, trained); err == nil {
 		t.Error("duplicate tagger accepted")
 	}
 	if _, err := NewReplicatedServer(0, ServerConfig{}, nil); err == nil {
@@ -75,6 +72,18 @@ func TestNewServerValidation(t *testing.T) {
 		return nil, errors.New("boom")
 	}); err == nil {
 		t.Error("builder error swallowed")
+	}
+	nilBuild := func(int) (*Tagger, error) { return nil, nil }
+	if _, err := NewReplicatedServer(1, ServerConfig{}, nilBuild); err == nil {
+		t.Error("NewReplicatedServer accepted a (nil, nil) build")
+	}
+	srv, err := NewEngineServer(ServerConfig{}, &labelEngine{label: "v1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if _, err := srv.Refresh(nilBuild); err == nil {
+		t.Error("Refresh accepted a (nil, nil) build")
 	}
 }
 
@@ -321,12 +330,12 @@ func TestServerRefreshUnderLoad(t *testing.T) {
 	}
 }
 
-// TestServerSwapReturnsRetiredGeneration: Swap hands back the drained old
-// taggers — the refine-offline-swap-back-in loop — and refuses a tagger
-// that is still serving.
+// TestServerSwapReturnsRetiredGeneration: the caller keeps the retired
+// generation across SwapEngines — the refine-offline-swap-back-in loop —
+// and an engine that is still serving is refused.
 func TestServerSwapReturnsRetiredGeneration(t *testing.T) {
-	first := []*Tagger{buildTrained(t), buildTrained(t)}
-	srv, err := NewServer(ServerConfig{MaxBatch: 4}, first...)
+	a, b := buildTrained(t), buildTrained(t)
+	srv, err := NewEngineServer(ServerConfig{MaxBatch: 4}, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,26 +344,22 @@ func TestServerSwapReturnsRetiredGeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A tagger of the live generation cannot join the next one.
-	if _, err := srv.Swap(first[0], buildTrained(t)); err == nil {
-		t.Error("Swap accepted a tagger that is still serving")
+	if err := srv.SwapEngines(a, buildTrained(t)); err == nil {
+		t.Error("SwapEngines accepted a tagger that is still serving")
 	}
-	second := []*Tagger{buildTrained(t), buildTrained(t)}
-	old, err := srv.Swap(second...)
-	if err != nil {
+	second := []Engine{buildTrained(t), buildTrained(t)}
+	if err := srv.SwapEngines(second...); err != nil {
 		t.Fatal(err)
-	}
-	if len(old) != 2 || old[0] != first[0] || old[1] != first[1] {
-		t.Errorf("Swap returned %v, want the retired first generation", old)
 	}
 	// The retired taggers are drained: refining them offline is safe and
 	// they can come back as a third generation.
-	if err := old[0].Refine(servingQueries[0], "music"); err != nil {
+	if err := a.Refine(servingQueries[0], "music"); err != nil {
 		t.Fatal(err)
 	}
-	if err := old[1].Refine(servingQueries[0], "music"); err != nil {
+	if err := b.Refine(servingQueries[0], "music"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Swap(old...); err != nil {
+	if err := srv.SwapEngines(a, b); err != nil {
 		t.Fatalf("swapping the refined retirees back in: %v", err)
 	}
 	st := srv.Stats()
@@ -368,10 +373,10 @@ func TestServerSwapReturnsRetiredGeneration(t *testing.T) {
 	// Round-tripping generations with no traffic in between must leave
 	// the cumulative counters exactly unchanged (regression: a retiree's
 	// traffic used to be re-added on every swap-back).
-	if _, err := srv.Swap(second...); err != nil {
+	if err := srv.SwapEngines(second...); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Swap(old...); err != nil {
+	if err := srv.SwapEngines(a, b); err != nil {
 		t.Fatal(err)
 	}
 	if net := srv.Stats().Network; net != st.Network {
