@@ -9,9 +9,12 @@ build:
 test:
 	go test ./...
 
-# The CI test tier: race detector + -short gating.
+# The CI test tier: race detector + -short gating, then the serving
+# dispatcher's flake gate: its batch sizes depend on load, so its tests
+# run 20 times.
 race:
 	go test -race -short ./...
+	go test -race -count=20 ./internal/serving
 
 # perfbench is its own module over the root module's public API; vetting
 # it here fails fast when a root API change breaks the harness.

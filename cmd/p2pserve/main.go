@@ -1,9 +1,11 @@
 // Command p2pserve is the serving face of the system: it trains a sharded
 // pool of identical tagger swarms over a synthetic delicious-style corpus
 // and serves AutoTag queries over HTTP/JSON through the micro-batching
-// front-end (doctagger.Server). Concurrent requests coalesce into
-// AutoTagBatch calls; repeated queries hit the request-level result cache
-// (-cache, 0 disables); /v1/stats shows how well both work.
+// front-end (doctagger.Server). Each request goes to the first idle shard,
+// and requests that arrive while every shard is busy coalesce into one
+// AutoTagBatch call (at most -max-batch); repeated queries hit the
+// request-level result cache (-cache, 0 disables); /v1/stats shows how
+// well both work.
 //
 // Endpoints:
 //
@@ -80,7 +82,6 @@ type options struct {
 	docsMax   int
 	numTags   int
 	maxBatch  int
-	maxDelay  time.Duration
 	maxQueue  int
 	failFast  bool
 	cache     int
@@ -103,8 +104,7 @@ func main() {
 	flag.IntVar(&o.docsMin, "docs-min", 8, "minimum training documents per peer")
 	flag.IntVar(&o.docsMax, "docs-max", 12, "maximum training documents per peer")
 	flag.IntVar(&o.numTags, "tags", 8, "size of the synthetic tag universe")
-	flag.IntVar(&o.maxBatch, "max-batch", 32, "flush a batch at this many requests")
-	flag.DurationVar(&o.maxDelay, "max-delay", 2*time.Millisecond, "flush a batch this long after its first request")
+	flag.IntVar(&o.maxBatch, "max-batch", 32, "cap a batch at this many requests (a batch leaves as soon as a shard is idle)")
 	flag.IntVar(&o.maxQueue, "max-queue", 0, "submission queue bound (0 = 8*max-batch)")
 	flag.BoolVar(&o.failFast, "fail-fast", false, "reject with 503 when the queue is full instead of blocking")
 	flag.IntVar(&o.cache, "cache", 1024, "request-level result cache entries (0 disables)")
@@ -199,7 +199,6 @@ func makeBuild(o options) (func(int) (*doctagger.Tagger, error), []string, []rea
 func newPool(o options, build func(int) (*doctagger.Tagger, error)) (*doctagger.Server, error) {
 	return doctagger.NewReplicatedServer(o.shards, doctagger.ServerConfig{
 		MaxBatch:  o.maxBatch,
-		MaxDelay:  o.maxDelay,
 		MaxQueue:  o.maxQueue,
 		FailFast:  o.failFast,
 		CacheSize: o.cache,

@@ -24,7 +24,6 @@ func testOptions() options {
 		docsMax:  6,
 		numTags:  4,
 		maxBatch: 8,
-		maxDelay: time.Millisecond,
 		cache:    64,
 	}
 }

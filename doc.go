@@ -86,17 +86,17 @@
 // internal/serving) turns a pool of identically trained Taggers into a
 // concurrent serving front-end: goroutines submit single documents with
 // Tag (or many at once with TagBatch, which enters the dispatcher as
-// pre-formed batches and pays no coalescing delay), a micro-batching
-// dispatcher coalesces them — flushing at MaxBatch requests or MaxDelay
-// after the first, whichever comes first — and fans the batches over the
-// shard pool with one goroutine per shard, bounded queueing for
-// backpressure, per-request error propagation and a graceful drain on
-// Close. Batched answers are exactly what serial AutoTag calls would
-// return for the same inputs; the Stats snapshot (batch counts, batch-size
-// histogram, queue waits, cache counters, aggregate swarm traffic) shows
-// what the batching bought. See ExampleServer, and cmd/p2pserve for the
-// HTTP/JSON face of the same layer (POST /v1/tag, /v1/tag/batch,
-// /v1/refresh, GET /v1/stats, /healthz, /readyz).
+// pre-formed batches), and a micro-batching dispatcher hands each batch to
+// the first idle shard — a lone request leaves at once, and requests that
+// arrive while every shard is busy coalesce, up to MaxBatch. One goroutine
+// drives each shard, with bounded queueing for backpressure, per-request
+// error propagation and a graceful drain on Close. Batched answers are
+// exactly what serial AutoTag calls would return for the same inputs; the
+// Stats snapshot (batch counts, batch-size histogram, queue waits, cache
+// counters, aggregate swarm traffic) shows what the batching bought. See
+// ExampleServer, and cmd/p2pserve for the HTTP/JSON face of the same layer
+// (POST /v1/tag, /v1/tag/batch, /v1/refresh, GET /v1/stats, /healthz,
+// /readyz).
 //
 // Two serving capabilities ride on the determinism contract:
 //

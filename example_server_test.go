@@ -10,8 +10,9 @@ import (
 
 // ExampleServer builds a two-shard serving pool over identically trained
 // swarms and tags documents from concurrent-safe calls. In a real service
-// many goroutines call Tag at once and the dispatcher batches them; a
-// single call works the same way, flushing on MaxDelay.
+// many goroutines call Tag at once and the dispatcher batches whatever
+// arrives while every shard is busy; a single call goes straight to an
+// idle shard.
 func ExampleServer() {
 	build := func(shard int) (*doctagger.Tagger, error) {
 		tg, err := doctagger.New(doctagger.Config{Peers: 4, Seed: 7})

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestCacheRejectsNegativeSize(t *testing.T) {
@@ -20,7 +19,7 @@ func TestCacheRejectsNegativeSize(t *testing.T) {
 // engine call.
 func TestCacheHitSkipsEngine(t *testing.T) {
 	eng := &fakeEngine{}
-	s, err := New(Config{MaxBatch: 4, MaxDelay: time.Millisecond, CacheSize: 8}, eng)
+	s, err := New(Config{MaxBatch: 4, CacheSize: 8}, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +53,7 @@ func TestCacheHitSkipsEngine(t *testing.T) {
 // TestCacheHitIsACopy: mutating an answer must not corrupt what later
 // callers receive.
 func TestCacheHitIsACopy(t *testing.T) {
-	s, err := New(Config{MaxBatch: 1, MaxDelay: time.Millisecond, CacheSize: 8}, &fakeEngine{})
+	s, err := New(Config{MaxBatch: 1, CacheSize: 8}, &fakeEngine{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +79,7 @@ func TestCacheHitIsACopy(t *testing.T) {
 // served a cached failure (or a cached nil masquerading as success).
 func TestCacheDoesNotCacheErrors(t *testing.T) {
 	eng := &fakeEngine{failOn: map[string]bool{"bad": true}}
-	s, err := New(Config{MaxBatch: 1, MaxDelay: time.Millisecond, CacheSize: 8}, eng)
+	s, err := New(Config{MaxBatch: 1, CacheSize: 8}, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +100,7 @@ func TestCacheDoesNotCacheErrors(t *testing.T) {
 // TestCacheEviction: a cache bounded below the working set must evict LRU
 // entries and count them.
 func TestCacheEviction(t *testing.T) {
-	s, err := New(Config{MaxBatch: 1, MaxDelay: time.Millisecond, CacheSize: 2}, &fakeEngine{})
+	s, err := New(Config{MaxBatch: 1, CacheSize: 2}, &fakeEngine{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +125,7 @@ func TestCacheEviction(t *testing.T) {
 // documents than were requested. Run with -race.
 func TestCacheConcurrentDeterminism(t *testing.T) {
 	eng := &fakeEngine{}
-	s, err := New(Config{MaxBatch: 8, MaxDelay: time.Millisecond, CacheSize: 64}, eng)
+	s, err := New(Config{MaxBatch: 8, CacheSize: 64}, eng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,13 +4,13 @@
 // live engine-pool replacement.
 //
 // Concurrent callers submit single documents with Server.Tag (or many at
-// once with Server.TagBatch); a dispatcher goroutine coalesces them into
-// batches — flushing when MaxBatch requests are pending or MaxDelay has
-// passed since the first one, whichever comes first — and hands each batch
-// to one engine of the shard pool. Every engine is driven by exactly one
-// goroutine, so engines themselves need no internal locking (a
-// *doctagger.Tagger, which is not safe for concurrent use, plugs in
-// directly via AutoTagBatch).
+// once with Server.TagBatch); a dispatcher goroutine hands each batch to
+// the first idle engine of the shard pool. A batch leaves as soon as a
+// shard can take it, so a lone request is never held back; requests that
+// arrive while every shard is busy coalesce into the next batch, up to
+// MaxBatch. Every engine is driven by exactly one goroutine, so engines
+// themselves need no internal locking (a *doctagger.Tagger, which is not
+// safe for concurrent use, plugs in directly via AutoTagBatch).
 //
 // Batching is how the pool absorbs heavy traffic: one AutoTagBatch call
 // amortizes the swarm's query fan-out and network drain over many
@@ -71,14 +71,10 @@ var (
 
 // Config tunes the dispatcher.
 type Config struct {
-	// MaxBatch flushes a batch when this many requests have coalesced;
-	// default 32.
+	// MaxBatch caps a batch; default 32. A batch leaves for the first idle
+	// shard as soon as one can take it, so it holds more than one request
+	// only when requests arrived while every shard was busy.
 	MaxBatch int
-	// MaxDelay flushes a batch this long after its first request was
-	// dequeued, even if it is smaller than MaxBatch; default 2ms. The
-	// delay is the latency price of batching: under light load a request
-	// waits at most MaxDelay for company.
-	MaxDelay time.Duration
 	// MaxQueue bounds the submission queue; default 8*MaxBatch. A full
 	// queue blocks Tag (or rejects, with FailFast) — backpressure instead
 	// of unbounded memory.
@@ -99,12 +95,6 @@ func (c *Config) defaults() error {
 	}
 	if c.MaxBatch < 1 {
 		return fmt.Errorf("serving: MaxBatch %d < 1", c.MaxBatch)
-	}
-	if c.MaxDelay == 0 {
-		c.MaxDelay = 2 * time.Millisecond
-	}
-	if c.MaxDelay < 0 {
-		return fmt.Errorf("serving: negative MaxDelay %v", c.MaxDelay)
 	}
 	if c.MaxQueue == 0 {
 		c.MaxQueue = 8 * c.MaxBatch
@@ -171,7 +161,7 @@ type Stats struct {
 	// BatchSizeHist bins batch sizes; see BatchBucket.
 	BatchSizeHist []BatchBucket
 	// QueueWait aggregates the time requests spent between submission and
-	// the start of their batch's engine call.
+	// the start of their batch's engine call: the wait for an idle shard.
 	QueueWaitTotal time.Duration
 	QueueWaitMax   time.Duration
 	MeanQueueWait  time.Duration
@@ -479,13 +469,13 @@ func (s *Server) abortFlight(text string, f *flight) {
 // TagBatch submits many documents at once. Unlike len(texts) separate Tag
 // calls, the documents skip per-request coalescing and enter the
 // dispatcher as pre-formed batches (chunked at MaxBatch), so a bulk caller
-// pays no MaxDelay and no queue contention. Answers are identical to
-// per-document Tag calls: one tag list per input in input order, rows the
-// swarm cannot answer nil, with the first failure reported as the error
-// alongside the remaining results (mirroring AutoTagBatch). Documents with
-// cached answers are served from the cache, duplicate texts are computed
-// once and fanned out to every duplicate row; only distinct misses reach
-// the engines. Inside an engine shard each document of a chunk is
+// neither contends for the queue nor shares batches with single requests.
+// Answers are identical to per-document Tag calls: one tag list per input
+// in input order, rows the swarm cannot answer nil, with the first failure
+// reported as the error alongside the remaining results (mirroring
+// AutoTagBatch). Documents with cached answers are served from the cache,
+// duplicate texts are computed once and fanned out to every duplicate row;
+// only distinct misses reach the engines. Inside an engine shard each document of a chunk is
 // preprocessed in the shard's reused scratch (see doctagger.AutoTagBatch
 // and realnet.Ensemble.AutoTagBatch), so no per-chunk vectors are
 // materialized.
@@ -662,54 +652,45 @@ func (s *Server) Swap(engines ...Engine) error {
 	return nil
 }
 
-// dispatch coalesces queued requests into batches: a batch opens with the
-// first request pulled from the queue and flushes at MaxBatch requests or
-// MaxDelay after opening, whichever comes first. Pre-formed TagBatch
-// chunks are forwarded as-is, and swap requests switch cur between
-// batches. The dispatcher is the sole sender on every generation's batch
-// channel, which is what makes closing one on swap or shutdown safe.
+// dispatch forms batches and hands each to the first idle shard: the
+// pending batch is offered on the unbuffered batch channel whenever it is
+// non-empty, and a shard ready to receive is an idle one, so requests join
+// the pending batch (up to MaxBatch) only while every shard is busy.
+// Pre-formed TagBatch chunks are forwarded as-is, and swap requests switch
+// cur between batches (a pending batch goes to the new generation). The
+// dispatcher is the sole sender on every generation's batch channel, which
+// is what makes closing one on swap or shutdown safe.
 func (s *Server) dispatch(cur *generation) {
 	defer func() {
 		close(cur.batches)
 		cur.workers.Wait()
 		s.workers.Done()
 	}()
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
+	var batch []*request
 	for {
+		// A nil channel disables its case: stop pulling at MaxBatch, and
+		// offer nothing while the batch is empty.
+		in, out := s.queue, cur.batches
+		if len(batch) >= s.cfg.MaxBatch {
+			in = nil
+		}
+		if len(batch) == 0 {
+			out = nil
+		}
 		select {
-		case first, ok := <-s.queue:
+		case r, ok := <-in:
 			if !ok {
+				if len(batch) > 0 {
+					cur.batches <- batch
+				}
 				return
 			}
-			batch := append(make([]*request, 0, s.cfg.MaxBatch), first)
-			timer.Reset(s.cfg.MaxDelay)
-			open := true
-		collect:
-			for len(batch) < s.cfg.MaxBatch {
-				select {
-				case r, ok := <-s.queue:
-					if !ok {
-						open = false
-						break collect
-					}
-					batch = append(batch, r)
-				case <-timer.C:
-					break collect
-				}
+			if batch == nil {
+				batch = make([]*request, 0, s.cfg.MaxBatch)
 			}
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-			cur.batches <- batch
-			if !open {
-				return
-			}
+			batch = append(batch, r)
+		case out <- batch:
+			batch = nil
 		case chunk := <-s.prebatched:
 			cur.batches <- chunk
 		case sw := <-s.swapc:

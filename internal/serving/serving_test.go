@@ -60,7 +60,6 @@ func (f *fakeEngine) batchSizes() []int {
 func TestConfigValidation(t *testing.T) {
 	for _, cfg := range []Config{
 		{MaxBatch: -1},
-		{MaxDelay: -time.Second},
 		{MaxQueue: -3},
 	} {
 		if _, err := New(cfg, &fakeEngine{}); err == nil {
@@ -78,7 +77,7 @@ func TestConfigValidation(t *testing.T) {
 // document's answer.
 func TestBatchingUnderConcurrency(t *testing.T) {
 	eng := &fakeEngine{delay: time.Millisecond}
-	s, err := New(Config{MaxBatch: 16, MaxDelay: 5 * time.Millisecond}, eng)
+	s, err := New(Config{MaxBatch: 16}, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,25 +125,91 @@ func TestBatchingUnderConcurrency(t *testing.T) {
 	}
 }
 
-// TestSingleRequestFlushesOnDelay: a lone request must not wait for
-// MaxBatch company forever.
-func TestSingleRequestFlushesOnDelay(t *testing.T) {
-	eng := &fakeEngine{}
-	s, err := New(Config{MaxBatch: 64, MaxDelay: time.Millisecond}, eng)
-	if err != nil {
-		t.Fatal(err)
+// TestIdleFlush pins the batching rule: a batch leaves as soon as a shard
+// is idle, and requests coalesce only while every shard is busy, up to
+// MaxBatch. The single shard is gated, so which requests are in flight and
+// which are pending is fixed when each batch is checked.
+func TestIdleFlush(t *testing.T) {
+	// submit tags each text from its own goroutine; errs collects the
+	// outcomes.
+	submit := func(s *Server, errs chan<- error, texts ...string) {
+		for _, text := range texts {
+			go func() {
+				_, err := s.Tag(context.Background(), text)
+				errs <- err
+			}()
+		}
 	}
-	defer s.Close()
-	tags, err := s.Tag(context.Background(), "solo")
-	if err != nil || len(tags) != 1 {
-		t.Fatalf("Tag = %v, %v", tags, err)
+	// holdLone submits one request to an idle gated shard and checks that
+	// it reaches the engine alone, however large MaxBatch is. The returned
+	// release opens the gate; cleanup opens it too, before Close, so a
+	// failed check cannot hang the drain.
+	holdLone := func(t *testing.T, maxBatch int) (*Server, *gatedEngine, func(), chan error) {
+		t.Helper()
+		eng := newGatedEngine()
+		s, err := New(Config{MaxBatch: maxBatch}, eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		release := sync.OnceFunc(func() { close(eng.release) })
+		t.Cleanup(func() {
+			release()
+			s.Close()
+		})
+		errs := make(chan error, 16)
+		submit(s, errs, "solo")
+		if batch := <-eng.entered; len(batch) != 1 || batch[0] != "solo" {
+			t.Fatalf("lone request reached the engine as %v, want [solo]", batch)
+		}
+		return s, eng, release, errs
 	}
-	if sizes := eng.batchSizes(); len(sizes) != 1 || sizes[0] != 1 {
-		t.Errorf("batch sizes = %v, want [1]", sizes)
+	// pendingIs waits until the server has accepted n requests, of which
+	// queued are still in the queue and the rest in flight or pending.
+	pendingIs := func(t *testing.T, s *Server, n int64, queued int) {
+		t.Helper()
+		waitStats(t, s, "requests to settle", func(st Stats) bool {
+			return st.Requests == n && len(s.queue) == queued
+		})
 	}
-	if st := s.Stats(); st.MeanQueueWait <= 0 {
-		t.Errorf("queue wait not recorded: %+v", st)
-	}
+
+	t.Run("lone-then-busy", func(t *testing.T) {
+		s, eng, release, errs := holdLone(t, 64)
+		submit(s, errs, "a", "b", "c")
+		pendingIs(t, s, 4, 0)
+		release()
+		if batch := <-eng.entered; len(batch) != 3 {
+			t.Errorf("batch after release = %v, want exactly the 3 requests that arrived while the shard was busy", batch)
+		}
+		for i := 0; i < 4; i++ {
+			if err := <-errs; err != nil {
+				t.Fatalf("Tag: %v", err)
+			}
+		}
+		if st := s.Stats(); st.Batches != 2 || st.MaxBatchSeen != 3 || st.MeanQueueWait <= 0 {
+			t.Errorf("batches %d, max batch %d, mean queue wait %v; want 2, 3, > 0",
+				st.Batches, st.MaxBatchSeen, st.MeanQueueWait)
+		}
+	})
+
+	t.Run("capped-while-busy", func(t *testing.T) {
+		s, eng, release, errs := holdLone(t, 2)
+		submit(s, errs, "a", "b", "c", "d", "e")
+		// The dispatcher stops pulling at MaxBatch: two pending, three
+		// still queued.
+		pendingIs(t, s, 6, 3)
+		release()
+		if batch := <-eng.entered; len(batch) != 2 {
+			t.Errorf("batch after release = %v, want the 2 pending requests", batch)
+		}
+		for i := 0; i < 6; i++ {
+			if err := <-errs; err != nil {
+				t.Fatalf("Tag: %v", err)
+			}
+		}
+		if st := s.Stats(); st.MaxBatchSeen != 2 || st.Served != 6 {
+			t.Errorf("max batch %d served %d, want 2 and 6", st.MaxBatchSeen, st.Served)
+		}
+	})
 }
 
 // TestPerRequestErrorPropagation: a failed document inside a batch must
@@ -152,7 +217,7 @@ func TestSingleRequestFlushesOnDelay(t *testing.T) {
 // mates succeed.
 func TestPerRequestErrorPropagation(t *testing.T) {
 	eng := &fakeEngine{failOn: map[string]bool{"bad-1": true, "bad-2": true}}
-	s, err := New(Config{MaxBatch: 8, MaxDelay: 20 * time.Millisecond}, eng)
+	s, err := New(Config{MaxBatch: 8}, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +254,7 @@ func TestPerRequestErrorPropagation(t *testing.T) {
 // refuse new work.
 func TestCloseDrains(t *testing.T) {
 	eng := &fakeEngine{delay: 2 * time.Millisecond}
-	s, err := New(Config{MaxBatch: 4, MaxDelay: time.Millisecond}, eng)
+	s, err := New(Config{MaxBatch: 4}, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +291,7 @@ func TestCloseDrains(t *testing.T) {
 // submissions are rejected instead of blocking.
 func TestFailFastBackpressure(t *testing.T) {
 	eng := &fakeEngine{delay: 5 * time.Millisecond}
-	s, err := New(Config{MaxBatch: 1, MaxDelay: time.Millisecond, MaxQueue: 1, FailFast: true}, eng)
+	s, err := New(Config{MaxBatch: 1, MaxQueue: 1, FailFast: true}, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +320,7 @@ func TestFailFastBackpressure(t *testing.T) {
 // request still drains, so Close completes.
 func TestContextCancelAbandonsWait(t *testing.T) {
 	eng := &fakeEngine{delay: 20 * time.Millisecond}
-	s, err := New(Config{MaxBatch: 2, MaxDelay: time.Millisecond}, eng)
+	s, err := New(Config{MaxBatch: 2}, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +342,7 @@ func TestContextCancelAbandonsWait(t *testing.T) {
 // for a dead context, and the fail-fast path never looked at ctx at all).
 func TestPreCancelledContextNeverEnqueues(t *testing.T) {
 	for _, failFast := range []bool{false, true} {
-		s, err := New(Config{MaxBatch: 4, MaxDelay: time.Millisecond, FailFast: failFast}, &fakeEngine{})
+		s, err := New(Config{MaxBatch: 4, FailFast: failFast}, &fakeEngine{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,7 +370,7 @@ func TestPreCancelledContextNeverEnqueues(t *testing.T) {
 // client has received — engine rows, cache hits and intra-batch
 // duplicates alike.
 func TestStatsCoverEveryAnsweredRow(t *testing.T) {
-	s, err := New(Config{MaxBatch: 4, MaxDelay: time.Microsecond, CacheSize: 8}, &fakeEngine{}, &fakeEngine{})
+	s, err := New(Config{MaxBatch: 4, CacheSize: 8}, &fakeEngine{}, &fakeEngine{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +406,7 @@ func TestStatsCoverEveryAnsweredRow(t *testing.T) {
 // pre-formed chunks of at most MaxBatch.
 func TestTagBatchMatchesTag(t *testing.T) {
 	eng := &fakeEngine{}
-	s, err := New(Config{MaxBatch: 4, MaxDelay: time.Millisecond}, eng)
+	s, err := New(Config{MaxBatch: 4}, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +432,7 @@ func TestTagBatchMatchesTag(t *testing.T) {
 		}
 	}
 	// The first three engine calls are the batch's pre-formed chunks:
-	// 10 docs at MaxBatch 4 split 4+4+2, untouched by MaxDelay coalescing.
+	// 10 docs at MaxBatch 4 split 4+4+2, never merged with queued requests.
 	sizes := eng.batchSizes()
 	if len(sizes) < 3 || sizes[0] != 4 || sizes[1] != 4 || sizes[2] != 2 {
 		t.Errorf("chunk sizes = %v, want prefix [4 4 2]", sizes)
@@ -382,7 +447,7 @@ func TestTagBatchMatchesTag(t *testing.T) {
 // independently mutable), errors fanned to all duplicates too.
 func TestTagBatchDeduplicates(t *testing.T) {
 	eng := &fakeEngine{failOn: map[string]bool{"bad": true}}
-	s, err := New(Config{MaxBatch: 16, MaxDelay: time.Millisecond}, eng)
+	s, err := New(Config{MaxBatch: 16}, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +488,7 @@ func TestTagBatchDeduplicates(t *testing.T) {
 // input's index with its unwrapped cause.
 func TestTagBatchErrorRows(t *testing.T) {
 	eng := &fakeEngine{failOn: map[string]bool{"bad-1": true, "bad-2": true}}
-	s, err := New(Config{MaxBatch: 2, MaxDelay: time.Millisecond}, eng)
+	s, err := New(Config{MaxBatch: 2}, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +518,7 @@ func TestTagBatchErrorRows(t *testing.T) {
 // TestTagBatchUsesCache: rows with cached answers never reach the engine.
 func TestTagBatchUsesCache(t *testing.T) {
 	eng := &fakeEngine{}
-	s, err := New(Config{MaxBatch: 8, MaxDelay: time.Millisecond, CacheSize: 8}, eng)
+	s, err := New(Config{MaxBatch: 8, CacheSize: 8}, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +548,7 @@ func TestTagBatchUsesCache(t *testing.T) {
 // drained and the cache holds nothing it produced.
 func TestSwapSwitchesGenerations(t *testing.T) {
 	g1 := &fakeEngine{prefix: "g1:"}
-	s, err := New(Config{MaxBatch: 4, MaxDelay: time.Millisecond, CacheSize: 16}, g1)
+	s, err := New(Config{MaxBatch: 4, CacheSize: 16}, g1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,7 +586,7 @@ func TestSwapSwitchesGenerations(t *testing.T) {
 // has returned the old generation must never answer again. Run with -race.
 func TestSwapUnderLoad(t *testing.T) {
 	gen1 := []Engine{&fakeEngine{prefix: "g1:", delay: time.Millisecond}, &fakeEngine{prefix: "g1:", delay: time.Millisecond}}
-	s, err := New(Config{MaxBatch: 8, MaxDelay: time.Millisecond, CacheSize: 32}, gen1...)
+	s, err := New(Config{MaxBatch: 8, CacheSize: 32}, gen1...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -588,7 +653,7 @@ func TestSwapUnderLoad(t *testing.T) {
 // TestSwapAfterClose: a closed server refuses new generations and cleans
 // up the engines it was offered.
 func TestSwapAfterClose(t *testing.T) {
-	s, err := New(Config{MaxBatch: 2, MaxDelay: time.Millisecond}, &fakeEngine{})
+	s, err := New(Config{MaxBatch: 2}, &fakeEngine{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -603,7 +668,7 @@ func TestSwapAfterClose(t *testing.T) {
 // hang on phantom pending work.
 func TestTagBatchCancelledMidSubmission(t *testing.T) {
 	eng := &fakeEngine{delay: 5 * time.Millisecond}
-	s, err := New(Config{MaxBatch: 2, MaxDelay: time.Millisecond}, eng)
+	s, err := New(Config{MaxBatch: 2}, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -628,7 +693,7 @@ func TestTagBatchCancelledMidSubmission(t *testing.T) {
 // engine's slice append would race otherwise under -race).
 func TestShardPoolParallelism(t *testing.T) {
 	engines := []*fakeEngine{{delay: time.Millisecond}, {delay: time.Millisecond}, {delay: time.Millisecond}}
-	s, err := New(Config{MaxBatch: 4, MaxDelay: time.Millisecond},
+	s, err := New(Config{MaxBatch: 4},
 		engines[0], engines[1], engines[2])
 	if err != nil {
 		t.Fatal(err)

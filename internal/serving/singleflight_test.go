@@ -68,7 +68,7 @@ func waitStats(t *testing.T, s *Server, what string, cond func(Stats) bool) {
 // every follower is guaranteed to find the flight in progress.
 func TestSingleFlightDedup(t *testing.T) {
 	eng := newGatedEngine()
-	s, err := New(Config{MaxBatch: 4, MaxDelay: time.Millisecond}, eng)
+	s, err := New(Config{MaxBatch: 4}, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestSingleFlightDedup(t *testing.T) {
 // mutating its result must not corrupt anyone else's.
 func TestSingleFlightNoSliceAliasing(t *testing.T) {
 	eng := newGatedEngine()
-	s, err := New(Config{MaxBatch: 4, MaxDelay: time.Millisecond, CacheSize: 8}, eng)
+	s, err := New(Config{MaxBatch: 4, CacheSize: 8}, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,10 +161,13 @@ func TestSingleFlightNoSliceAliasing(t *testing.T) {
 	}
 }
 
-// TestSingleFlightDistinctTexts: different texts never coalesce.
+// TestSingleFlightDistinctTexts: different texts never coalesce. Two gated
+// shards share one gate, so "a" and "b" are held in flight at once
+// whichever way the dispatcher batches them.
 func TestSingleFlightDistinctTexts(t *testing.T) {
 	eng := newGatedEngine()
-	s, err := New(Config{MaxBatch: 8, MaxDelay: time.Millisecond}, eng)
+	twin := &gatedEngine{entered: eng.entered, release: eng.release}
+	s, err := New(Config{MaxBatch: 8}, eng, twin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +191,7 @@ func TestSingleFlightDistinctTexts(t *testing.T) {
 // answers, not a second query).
 func TestSingleFlightFollowerSurvivesLeaderCancel(t *testing.T) {
 	eng := newGatedEngine()
-	s, err := New(Config{MaxBatch: 4, MaxDelay: time.Millisecond}, eng)
+	s, err := New(Config{MaxBatch: 4}, eng)
 	if err != nil {
 		t.Fatal(err)
 	}

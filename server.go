@@ -11,14 +11,15 @@ import (
 )
 
 // ServerConfig tunes the concurrent serving front-end. The zero value
-// batches up to 32 documents, waits at most 2ms for a batch to fill,
+// hands each batch to the first idle shard, caps batches at 32 documents,
 // bounds the queue at 8*MaxBatch, and disables the result cache.
 type ServerConfig struct {
-	// MaxBatch flushes a batch at this many coalesced requests;
-	// default 32.
+	// MaxBatch caps a batch; default 32. A batch leaves as soon as a shard
+	// is idle, so it holds more than one request only when requests
+	// arrived while every shard was busy.
 	MaxBatch int
-	// MaxDelay flushes a batch this long after its first request even if
-	// it is smaller than MaxBatch; default 2ms.
+	// Deprecated: MaxDelay is ignored: a batch never waits on a timer, it
+	// leaves for the first idle shard.
 	MaxDelay time.Duration
 	// MaxQueue bounds the submission queue — backpressure instead of
 	// unbounded memory; default 8*MaxBatch.
@@ -151,7 +152,6 @@ func NewEngineServer(cfg ServerConfig, engines ...Engine) (*Server, error) {
 func servingConfig(cfg ServerConfig) serving.Config {
 	return serving.Config{
 		MaxBatch:  cfg.MaxBatch,
-		MaxDelay:  cfg.MaxDelay,
 		MaxQueue:  cfg.MaxQueue,
 		FailFast:  cfg.FailFast,
 		CacheSize: cfg.CacheSize,
@@ -254,10 +254,11 @@ func (s *Server) Tag(ctx context.Context, text string) ([]string, error) {
 
 // TagBatch submits many documents at once: they enter the dispatcher as
 // pre-formed batches (chunked at MaxBatch) instead of coalescing through
-// the per-request queue, so a bulk caller pays no MaxDelay. Answers are
-// pinned identical to per-document Tag calls — one tag list per input in
-// input order, unanswerable rows nil, the first failure reported as the
-// error alongside the remaining results (the AutoTagBatch contract).
+// the per-request queue, so a bulk caller neither contends for the queue
+// nor shares batches with single requests. Answers are pinned identical
+// to per-document Tag calls — one tag list per input in input order,
+// unanswerable rows nil, the first failure reported as the error alongside
+// the remaining results (the AutoTagBatch contract).
 func (s *Server) TagBatch(ctx context.Context, texts []string) ([][]string, error) {
 	return s.inner.TagBatch(ctx, texts)
 }

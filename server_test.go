@@ -87,17 +87,27 @@ func TestNewServerValidation(t *testing.T) {
 	}
 }
 
+// busyEngine is a tagger shard that stays busy for a millisecond per batch
+// before answering. The dispatcher coalesces requests only while every
+// shard is busy, and a bare 4-peer tagger can answer faster than 64
+// clients submit, so without the hold a run may never batch at all.
+type busyEngine struct{ *Tagger }
+
+func (e busyEngine) AutoTagBatch(texts []string) ([][]string, error) {
+	time.Sleep(time.Millisecond)
+	return e.Tagger.AutoTagBatch(texts)
+}
+
 // TestServerMatchesSerialUnderLoad is the serving acceptance test: 64
 // concurrent clients against a 2-shard pool must get exactly the answers
 // serial single-document AutoTag calls give for the same inputs, and the
-// dispatcher's own counters must show real batching (mean batch size > 1).
+// dispatcher's own counters must show real batching (mean batch size > 1)
+// once the shards are saturated.
 func TestServerMatchesSerialUnderLoad(t *testing.T) {
 	queries := servingQueries
 	want := serialWant(t, queries)
 
-	srv, err := NewReplicatedServer(2, ServerConfig{MaxBatch: 16, MaxDelay: 0}, func(int) (*Tagger, error) {
-		return buildTrained(t), nil
-	})
+	srv, err := NewEngineServer(ServerConfig{MaxBatch: 16}, busyEngine{buildTrained(t)}, busyEngine{buildTrained(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +181,7 @@ func TestServerCacheMatchesSerial(t *testing.T) {
 	queries := servingQueries
 	want := serialWant(t, queries)
 
-	srv, err := NewReplicatedServer(2, ServerConfig{MaxBatch: 16, MaxDelay: 0, CacheSize: 64}, func(int) (*Tagger, error) {
+	srv, err := NewReplicatedServer(2, ServerConfig{MaxBatch: 16, CacheSize: 64}, func(int) (*Tagger, error) {
 		return buildTrained(t), nil
 	})
 	if err != nil {
@@ -268,7 +278,7 @@ func TestServerRefreshUnderLoad(t *testing.T) {
 	queries := servingQueries
 	want := serialWant(t, queries)
 	build := func(int) (*Tagger, error) { return buildTrained(t), nil }
-	srv, err := NewReplicatedServer(2, ServerConfig{MaxBatch: 16, MaxDelay: 0, CacheSize: 64}, build)
+	srv, err := NewReplicatedServer(2, ServerConfig{MaxBatch: 16, CacheSize: 64}, build)
 	if err != nil {
 		t.Fatal(err)
 	}
